@@ -1,102 +1,14 @@
 // scoded — command-line interface to the SCODED library.
 //
-//   scoded profile     --csv FILE
-//   scoded check       --csv FILE --sc "A _||_ B" [--alpha 0.05]
-//                      [--shard-rows N]   (out-of-core: stream the CSV in
-//                      shards of N rows and fold mergeable summaries;
-//                      results are bit-identical to the in-memory check.
-//                      N=0 forces in-memory. Without the flag the
-//                      SCODED_SHARD_ROWS environment variable applies, and
-//                      files of 64 MiB or more shard automatically.)
-//                      [--workers N] [--worker-transport fork|tcp]
-//                      (distributed: a coordinator spawns N local worker
-//                      processes, assigns each a contiguous range of shards,
-//                      and folds their exact integer summaries in file
-//                      order — output is byte-identical to the
-//                      single-process sharded check at any worker count.
-//                      Workers that die or stall are retried on survivors.)
-//   scoded drill       --csv FILE --sc "A !_||_ B" --k 50
-//                      [--strategy k|kc|auto] [--alpha 0.05]
-//   scoded partition   --csv FILE --sc "..." [--alpha 0.05]
-//                      [--max-removal 0.5] [--out cleaned.csv]
-//   scoded repair      --csv FILE --sc "..." --k 20 [--out repaired.csv]
-//   scoded monitor     --csv FILE --sc C1 [--sc C2 ...] [--alpha 0.3]
-//                      [--batch 100] [--window W]   (streams rows in
-//                      batches; prints one line per constraint per batch;
-//                      --window keeps only the last W rows per monitor)
-//   scoded report      --csv FILE --sc C1 [--sc C2 ...] [--alpha A]
-//                      [--k 20] [--format md|json] [--out FILE] [--fdr Q]
-//   scoded discover    --csv FILE [--alpha 0.05] [--max-cond 2]
-//   scoded fds         --csv FILE [--max-g3 0.25]  (approximate FDs +
-//                      their Prop. 2 DSC translations)
-//   scoded consistency --sc "..." [--sc "..." ...]
-//   scoded serve       [--port N] [--max-sessions M] [--idle-secs S]
-//                      [--handlers H]   (daemon: host monitor sessions and
-//                      one-shot checks over length-prefixed JSON frames on
-//                      127.0.0.1; port 0 = ephemeral, printed at startup.
-//                      SIGTERM/SIGINT drain sessions and exit cleanly.)
-//   scoded client ping    --port N
-//   scoded client check   --port N --csv FILE --sc "..." [--alpha A]
-//   scoded client monitor --port N --csv FILE --sc C1 [--sc C2 ...]
-//                      [--alpha A] [--batch 100] [--window W]
-//                      (stream the CSV into a daemon session batch by
-//                      batch; output is byte-identical to the local
-//                      `scoded check` / `scoded monitor` commands)
-//   scoded top         --port N [--interval-ms 500] [--iterations K]
-//                      (attach to a running scoded's --metrics-port and
-//                      render a live dashboard: rows/s, shards done,
-//                      current min-p, an RSS sparkline. Exits cleanly when
-//                      the monitored run finishes.)
-//   scoded inspect     FILE  (pretty-print the crash/stall reports the
-//                      flight recorder wrote; exit 1 on malformed input)
-//   scoded worker      --fd N | --connect-port N  (internal: one member of
-//                      a `check --workers` fleet; spawned by the
-//                      coordinator, never run by hand)
-//   scoded version     (build identity: git describe, build type, obs mode)
-//
-// Observability (any subcommand):
-//   --trace-out FILE   write a Chrome trace-event JSON of the run
-//                      (load in chrome://tracing or ui.perfetto.dev)
-//   --stats [FILE]     emit a JSON run summary (phase wall-clock, tests
-//                      executed, counters, metrics snapshot, build info);
-//                      without a FILE it goes to stderr
-//   --profile [FILE]   aggregate spans in-process: without a FILE, print
-//                      a self-time table to stderr; with a FILE, write the
-//                      full profile JSON (flat stats + caller/callee edges
-//                      + collapsed stacks)
-//   --log-level LVL    debug|info|warn|error|off (overrides SCODED_LOG);
-//                      diagnostics are JSONL records on stderr
-//   --metrics-port N   serve live telemetry over HTTP on 127.0.0.1:N for
-//                      the duration of the command (0 = ephemeral port,
-//                      logged at startup): GET /metrics is a Prometheus
-//                      text exposition of every counter/gauge/histogram
-//                      plus process RSS/CPU/thread-pool gauges, /healthz
-//                      a liveness probe, /timeseries the JSON ring-buffer
-//                      history recorded by a 10 Hz background sampler.
-//                      Read-only over atomics: results are byte-identical
-//                      with or without the flag. Without the flag the
-//                      SCODED_METRICS_PORT environment variable applies.
-//   --flight-recorder-events N
-//                      per-thread flight-recorder ring capacity (default
-//                      256; 0 disables). The recorder is armed by default:
-//                      fatal signals and std::terminate leave a crash
-//                      report, SIGQUIT dumps a stall report while the run
-//                      continues. Reports land in SCODED_CRASH_DIR (or the
-//                      current directory) as scoded-{crash,stall}-PID.report;
-//                      inspect them with `scoded inspect`. Without the flag
-//                      SCODED_FLIGHT_RECORDER_EVENTS applies. Forensic-only:
-//                      results are byte-identical with or without it.
-//   --watchdog-secs T  start a watchdog thread that dumps a stall report
-//                      when no heartbeat arrives for T seconds while the
-//                      pool still reports pending work (0 = off, default).
-//                      Without the flag SCODED_WATCHDOG_SECS applies.
-//
-// Execution (any subcommand):
-//   --threads N        worker threads for batch checking, stratified
-//                      tests, drill-down and discovery (N=1 forces fully
-//                      serial execution; results are identical at any N).
-//                      Overrides the SCODED_THREADS environment variable;
-//                      the default is the hardware concurrency.
+// Every command, the flags it takes, their kinds, defaults and environment
+// fallbacks are declared once, in the flag table (GlobalFlags() and
+// Commands() below). ParseArgs checks a command line against the table
+// before any file is opened, socket bound or pool started: an unknown or
+// inapplicable flag, a malformed or out-of-range value (from the flag or
+// from its environment variable), a wrong --sc count or a stray operand is
+// a usage error. Handlers then read typed values that cannot fail.
+// `scoded` with no arguments prints the usage generated from the table;
+// docs/cli.md describes every command and flag.
 //
 // Exit codes: 0 success (constraint holds / command completed), 2 the
 // checked constraint is violated, 1 any error. The violation exit code
@@ -113,6 +25,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,26 +70,82 @@ using namespace scoded;
 // "cli/main" phase.
 obs::RunTelemetry g_telemetry;
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-  std::vector<std::string> constraints;  // repeated --sc
-  std::vector<std::string> positional;   // e.g. the FILE of `scoded inspect FILE`
+// ----------------------------------------------------------------------
+// Flag declarations and the parsed command line.
+
+enum class Kind { kInt, kDouble, kEnum, kPath, kOptionalPath };
+enum class ScArity { kNone, kOne, kOneOrMore };
+
+// One flag. Its value comes from the command line, else from `env` (when
+// set and non-empty), else from `def`; a flag with neither stays unset.
+// Both the flag's value and the environment's go through the same check.
+struct Flag {
+  std::string_view name;  // without the leading "--"
+  Kind kind;
+  std::string_view def;
+  int64_t min = 0;  // kInt range, inclusive
+  int64_t max = 0;
+  double dmin = 0.0;  // kDouble range, inclusive
+  double dmax = 0.0;
+  std::string_view choices;  // kEnum: "a|b|c"
+  std::string_view env;
+  bool required = false;
 };
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: scoded <profile|check|drill|partition|repair|monitor|report|discover|fds|consistency|serve|client|top|inspect|version> "
-               "[--csv FILE] [--sc CONSTRAINT]... [--alpha A] [--k K]\n"
-               "              [--strategy k|kc|auto] [--max-removal F] [--max-cond L] "
-               "[--out FILE] [--shard-rows N] [--port N] [--interval-ms MS]\n"
-               "              [--max-sessions M] [--idle-secs S] [--handlers H] "
-               "[--batch B] [--window W] [--workers N] [--worker-transport fork|tcp]\n"
-               "              [--trace-out FILE] [--stats [FILE]] [--profile [FILE]] "
-               "[--log-level debug|info|warn|error] [--threads N] [--metrics-port N]\n"
-               "              [--flight-recorder-events N] [--watchdog-secs T]\n");
-  return 1;
+constexpr int64_t kMaxInt = INT64_MAX;
+
+Flag IntFlag(std::string_view name, std::string_view def, int64_t min, int64_t max,
+             std::string_view env = {}) {
+  return {name, Kind::kInt, def, min, max, 0.0, 0.0, {}, env, false};
 }
+
+Flag RealFlag(std::string_view name, std::string_view def, double min, double max,
+              std::string_view env = {}) {
+  return {name, Kind::kDouble, def, 0, 0, min, max, {}, env, false};
+}
+
+Flag EnumFlag(std::string_view name, std::string_view def, std::string_view choices) {
+  return {name, Kind::kEnum, def, 0, 0, 0.0, 0.0, choices, {}, false};
+}
+
+Flag PathFlag(std::string_view name, Kind kind = Kind::kPath) {
+  return {name, kind, {}, 0, 0, 0.0, 0.0, {}, {}, false};
+}
+
+Flag Required(Flag flag) {
+  flag.required = true;
+  return flag;
+}
+
+struct Value {
+  std::string text;
+  int64_t int_value = 0;
+  double double_value = 0.0;
+};
+
+struct Command;
+
+struct Args {
+  std::string command;  // argv[1]
+  const Command* spec = nullptr;
+  std::vector<std::string> operands;
+  std::vector<std::string> sc_text;     // each --sc as written
+  std::vector<ApproximateSc> scs;       // the same, parsed, at --alpha
+  std::map<std::string, Value> values;  // every flag that has a value
+
+  bool Has(const std::string& name) const { return values.count(name) > 0; }
+  int64_t Int(const std::string& name) const { return values.at(name).int_value; }
+  double Double(const std::string& name) const { return values.at(name).double_value; }
+  const std::string& Str(const std::string& name) const { return values.at(name).text; }
+};
+
+struct Command {
+  std::string_view name;      // "client ping": the action is the first operand
+  ScArity sc;
+  std::string_view operand;   // the one bare operand, if any
+  std::vector<Flag> flags;    // a global flag declared here overrides the global entry
+  Result<int> (*run)(const Args&);
+};
 
 // Structured error reporting: one JSONL record on stderr, exit code 1.
 int Fail(const Status& status) {
@@ -184,509 +153,214 @@ int Fail(const Status& status) {
   return 1;
 }
 
-int FailMessage(std::string_view message) {
-  obs::LogError(message);
-  return 1;
-}
+// ----------------------------------------------------------------------
+// Commands over a CSV file.
 
-bool ParseArgs(int argc, char** argv, Args* out) {
-  if (argc < 2) {
-    return false;
-  }
-  out->command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string flag = argv[i];
-    if (flag.rfind("--", 0) != 0) {
-      // Bare operands (`scoded inspect FILE`); commands that take none
-      // report the usage error themselves with better context.
-      out->positional.push_back(std::move(flag));
-      continue;
-    }
-    // --stats / --profile may appear valueless (output goes to stderr) or
-    // with a FILE.
-    if ((flag == "--stats" || flag == "--profile") &&
-        (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0)) {
-      out->flags[flag.substr(2)] = "-";
-      continue;
-    }
-    if (i + 1 >= argc) {
-      return false;
-    }
-    std::string value = argv[++i];
-    if (flag == "--sc") {
-      out->constraints.push_back(value);
-    } else {
-      out->flags[flag.substr(2)] = value;
-    }
-  }
-  return true;
-}
-
-// Numeric flag parsing is strict: a value that does not fully parse is a
-// usage error, not a silent fallback (and never an uncaught std::stoll
-// exception).
-Result<double> FlagDouble(const Args& args, const std::string& name, double fallback) {
-  auto it = args.flags.find(name);
-  if (it == args.flags.end()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  double value = std::strtod(it->second.c_str(), &end);
-  if (it->second.empty() || end == nullptr || *end != '\0') {
-    return InvalidArgumentError("--" + name + " expects a number, got '" + it->second + "'");
-  }
-  return value;
-}
-
-Result<int64_t> FlagInt(const Args& args, const std::string& name, int64_t fallback) {
-  auto it = args.flags.find(name);
-  if (it == args.flags.end()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  if (it->second.empty() || end == nullptr || *end != '\0') {
-    return InvalidArgumentError("--" + name + " expects an integer, got '" + it->second + "'");
-  }
-  return value;
-}
-
-// As FlagInt, but range-checked through the shared strict parser.
-Result<int64_t> FlagCheckedInt(const Args& args, const std::string& name, int64_t fallback,
-                               int64_t min_value, int64_t max_value) {
-  auto it = args.flags.find(name);
-  if (it == args.flags.end()) {
-    return fallback;
-  }
-  return ParseCheckedInt(it->second, min_value, max_value, "--" + name);
-}
-
-Result<Table> LoadCsv(const Args& args) {
-  auto it = args.flags.find("csv");
-  if (it == args.flags.end()) {
-    return InvalidArgumentError("--csv FILE is required for this command");
-  }
-  return csv::ReadFile(it->second);
-}
-
-Result<ApproximateSc> SingleConstraint(const Args& args) {
-  if (args.constraints.size() != 1) {
-    return InvalidArgumentError("exactly one --sc CONSTRAINT is required for this command");
-  }
-  SCODED_ASSIGN_OR_RETURN(StatisticalConstraint sc, ParseConstraint(args.constraints[0]));
-  SCODED_ASSIGN_OR_RETURN(double alpha, FlagDouble(args, "alpha", 0.05));
-  return ApproximateSc{sc, alpha};
-}
-
-Strategy ParseStrategy(const Args& args) {
-  auto it = args.flags.find("strategy");
-  if (it == args.flags.end() || it->second == "auto") {
-    return Strategy::kAuto;
-  }
-  if (it->second == "k") {
-    return Strategy::kDirect;
-  }
-  return Strategy::kComplement;
-}
-
-int RunProfile(const Args& args) {
-  Result<Table> table = LoadCsv(args);
-  if (!table.ok()) {
-    return Fail(table.status());
-  }
-  std::printf("%zu rows x %zu columns\n\n%s", table->NumRows(), table->NumColumns(),
-              DescribeTableText(*table).c_str());
+Result<int> RunProfile(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(args.Str("csv")));
+  std::printf("%zu rows x %zu columns\n\n%s", table.NumRows(), table.NumColumns(),
+              DescribeTableText(table).c_str());
   return 0;
 }
 
-// Shard size for `check`, resolved in precedence order: the --shard-rows
-// flag (0 = force in-memory) > the SCODED_SHARD_ROWS environment variable
-// > auto-enable with the default shard size for files of 64 MiB or more.
-// Returns 0 when the check should run in memory.
-Result<size_t> ResolveShardRows(const Args& args, const std::string& csv_path) {
-  Result<int64_t> flag = FlagInt(args, "shard-rows", -1);
-  if (!flag.ok()) {
-    return flag.status();
-  }
-  if (args.flags.count("shard-rows") > 0) {
-    if (*flag < 0) {
-      return InvalidArgumentError("--shard-rows expects a non-negative integer (0 = in-memory)");
-    }
-    return static_cast<size_t>(*flag);
-  }
-  const char* env = std::getenv("SCODED_SHARD_ROWS");
-  if (env != nullptr && *env != '\0') {
-    SCODED_ASSIGN_OR_RETURN(
-        int64_t value, ParseCheckedInt(env, 0, INT64_MAX, "SCODED_SHARD_ROWS"));
-    return static_cast<size_t>(value);
-  }
+// Without --shard-rows or SCODED_SHARD_ROWS, files of 64 MiB or more are
+// checked in shards of the reader's default size; 0 means in memory.
+size_t AutoShardRows(const std::string& csv_path) {
   constexpr uintmax_t kAutoShardBytes = 64ull << 20;
   std::ifstream probe(csv_path, std::ios::binary | std::ios::ate);
   if (probe && static_cast<uintmax_t>(probe.tellg()) >= kAutoShardBytes) {
-    return size_t{65536};  // ShardReaderOptions default
+    return csv::ShardReaderOptions{}.shard_rows;
   }
-  return size_t{0};
+  return 0;
 }
 
-int RunCheck(const Args& args) {
-  auto csv_path = args.flags.find("csv");
-  size_t shard_rows = 0;
-  if (csv_path != args.flags.end()) {
-    Result<size_t> resolved = ResolveShardRows(args, csv_path->second);
-    if (!resolved.ok()) {
-      return Fail(resolved.status());
-    }
-    shard_rows = *resolved;
-  }
-  Result<int64_t> workers = FlagCheckedInt(args, "workers", 0, 0, 1024);
-  if (!workers.ok()) {
-    return Fail(workers.status());
-  }
-  if (*workers > 0) {
-    // Coordinator/worker mode: same statistics, same bytes on stdout, the
-    // summarisation fanned out over a local worker fleet.
-    if (csv_path == args.flags.end()) {
-      return Fail(InvalidArgumentError("--workers requires --csv FILE"));
-    }
-    Result<ApproximateSc> asc = SingleConstraint(args);
-    if (!asc.ok()) {
-      return Fail(asc.status());
-    }
-    std::string transport = "fork";
-    if (auto it = args.flags.find("worker-transport"); it != args.flags.end()) {
-      transport = it->second;
-      if (transport != "fork" && transport != "tcp") {
-        return Fail(InvalidArgumentError("--worker-transport expects fork or tcp, got '" +
-                                         transport + "'"));
-      }
-    }
+// The verdict on the one --sc: over a local worker fleet, in shards, or in
+// memory. All three yield the same report, so `check` prints the same bytes.
+Result<ViolationReport> CheckOne(const Args& args) {
+  const std::string& csv_path = args.Str("csv");
+  const ApproximateSc& asc = args.scs[0];
+  size_t shard_rows = args.Has("shard-rows") ? static_cast<size_t>(args.Int("shard-rows"))
+                                             : AutoShardRows(csv_path);
+  if (args.Int("workers") > 0) {
     dist::DistributedCheckOptions options;
     // Workers imply sharding; without an explicit shard size use the
     // reader's default rather than the in-memory path.
     options.base.reader.shard_rows =
         shard_rows > 0 ? shard_rows : csv::ShardReaderOptions{}.shard_rows;
-    options.workers = static_cast<int>(*workers);
-    Result<std::string> exe = dist::SelfExePath();
-    if (!exe.ok()) {
-      return Fail(exe.status());
-    }
+    options.workers = static_cast<int>(args.Int("workers"));
+    SCODED_ASSIGN_OR_RETURN(std::string exe, dist::SelfExePath());
     std::unique_ptr<dist::Substrate> substrate;
-    if (transport == "fork") {
-      substrate = std::make_unique<dist::ForkExecSubstrate>(
-          *exe, std::vector<std::string>{"worker"});
+    const std::vector<std::string> worker_args = {"worker"};
+    if (args.Str("worker-transport") == "fork") {
+      substrate = std::make_unique<dist::ForkExecSubstrate>(exe, worker_args);
     } else {
-      substrate = std::make_unique<dist::TcpSubstrate>(
-          *exe, std::vector<std::string>{"worker"});
+      substrate = std::make_unique<dist::TcpSubstrate>(exe, worker_args);
     }
-    Result<ShardedCheckResult> result =
-        dist::DistributedCheckAll(csv_path->second, {*asc}, *substrate, options);
-    if (!result.ok()) {
-      return Fail(result.status());
-    }
-    g_telemetry.Merge(result->telemetry);
-    const ViolationReport& report = result->reports[0];
-    std::fputs(serve::CheckResultLine(*asc, report).c_str(), stdout);
-    return report.violated ? 2 : 0;
+    SCODED_ASSIGN_OR_RETURN(ShardedCheckResult result,
+                            dist::DistributedCheckAll(csv_path, {asc}, *substrate, options));
+    g_telemetry.Merge(result.telemetry);
+    return std::move(result.reports[0]);
   }
   if (shard_rows > 0) {
-    Result<ApproximateSc> asc = SingleConstraint(args);
-    if (!asc.ok()) {
-      return Fail(asc.status());
-    }
     ShardedCheckOptions options;
     options.reader.shard_rows = shard_rows;
-    Result<ShardedCheckResult> result =
-        ShardedCheckAll(csv_path->second, {*asc}, options);
-    if (!result.ok()) {
-      return Fail(result.status());
-    }
-    g_telemetry.Merge(result->telemetry);
-    const ViolationReport& report = result->reports[0];
-    std::fputs(serve::CheckResultLine(*asc, report).c_str(), stdout);
-    return report.violated ? 2 : 0;
+    SCODED_ASSIGN_OR_RETURN(ShardedCheckResult result, ShardedCheckAll(csv_path, {asc}, options));
+    g_telemetry.Merge(result.telemetry);
+    return std::move(result.reports[0]);
   }
-  Result<Table> table = LoadCsv(args);
-  Result<ApproximateSc> asc = SingleConstraint(args);
-  if (!table.ok() || !asc.ok()) {
-    return Fail(!table.ok() ? table.status() : asc.status());
-  }
-  Scoded system(std::move(table).value());
-  Result<ViolationReport> report = system.CheckViolation(*asc);
-  if (!report.ok()) {
-    return Fail(report.status());
-  }
-  g_telemetry.Merge(report->telemetry);
-  std::fputs(serve::CheckResultLine(*asc, *report).c_str(), stdout);
-  return report->violated ? 2 : 0;
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(csv_path));
+  Scoded system(std::move(table));
+  SCODED_ASSIGN_OR_RETURN(ViolationReport report, system.CheckViolation(asc));
+  g_telemetry.Merge(report.telemetry);
+  return report;
 }
 
-int RunDrill(const Args& args) {
-  Result<Table> table = LoadCsv(args);
-  Result<ApproximateSc> asc = SingleConstraint(args);
-  if (!table.ok() || !asc.ok()) {
-    return Fail(!table.ok() ? table.status() : asc.status());
-  }
-  Result<int64_t> k = FlagInt(args, "k", 10);
-  if (!k.ok()) {
-    return Fail(k.status());
-  }
-  Scoded system(std::move(table).value());
-  Result<DrillDownResult> result =
-      system.DrillDown(*asc, static_cast<size_t>(*k), ParseStrategy(args));
-  if (!result.ok()) {
-    return Fail(result.status());
-  }
-  g_telemetry.Merge(result->telemetry);
+Result<int> RunCheck(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(ViolationReport report, CheckOne(args));
+  std::fputs(serve::CheckResultLine(args.scs[0], report).c_str(), stdout);
+  return report.violated ? 2 : 0;
+}
+
+Result<int> RunDrill(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(args.Str("csv")));
+  const std::string& name = args.Str("strategy");
+  Strategy strategy = name == "k"    ? Strategy::kDirect
+                      : name == "kc" ? Strategy::kComplement
+                                     : Strategy::kAuto;
+  const ApproximateSc& asc = args.scs[0];
+  Scoded system(std::move(table));
+  SCODED_ASSIGN_OR_RETURN(DrillDownResult result,
+                          system.DrillDown(asc, static_cast<size_t>(args.Int("k")), strategy));
+  g_telemetry.Merge(result.telemetry);
   std::printf("top-%zu suspicious records for %s (statistic %.4g -> %.4g):\n",
-              result->rows.size(), asc->sc.ToString().c_str(), result->initial_statistic,
-              result->final_statistic);
-  for (size_t row : result->rows) {
+              result.rows.size(), asc.sc.ToString().c_str(), result.initial_statistic,
+              result.final_statistic);
+  for (size_t row : result.rows) {
     std::printf("%zu\n", row);
   }
   return 0;
 }
 
-int RunPartition(const Args& args) {
-  Result<Table> table = LoadCsv(args);
-  Result<ApproximateSc> asc = SingleConstraint(args);
-  if (!table.ok() || !asc.ok()) {
-    return Fail(!table.ok() ? table.status() : asc.status());
-  }
-  Result<double> max_removal = FlagDouble(args, "max-removal", 0.5);
-  if (!max_removal.ok()) {
-    return Fail(max_removal.status());
-  }
-  Scoded system(*table);
-  Result<PartitionResult> result = system.Partition(*asc, *max_removal);
-  if (!result.ok()) {
-    return Fail(result.status());
-  }
-  g_telemetry.Merge(result->telemetry);
+Result<int> RunPartition(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(args.Str("csv")));
+  Scoded system(table);
+  SCODED_ASSIGN_OR_RETURN(PartitionResult result,
+                          system.Partition(args.scs[0], args.Double("max-removal")));
+  g_telemetry.Merge(result.telemetry);
   std::printf("removed %zu records; p: %.4g -> %.4g; constraint %s\n",
-              result->removed_rows.size(), result->initial_p, result->final_p,
-              result->satisfied ? "restored" : "NOT restored within budget");
-  auto out = args.flags.find("out");
-  if (out != args.flags.end()) {
-    Table cleaned = table->WithoutRows(result->removed_rows);
-    Status write = csv::WriteFile(cleaned, out->second);
-    if (!write.ok()) {
-      return Fail(write);
-    }
-    std::printf("wrote %s (%zu rows)\n", out->second.c_str(), cleaned.NumRows());
+              result.removed_rows.size(), result.initial_p, result.final_p,
+              result.satisfied ? "restored" : "NOT restored within budget");
+  if (args.Has("out")) {
+    Table cleaned = table.WithoutRows(result.removed_rows);
+    SCODED_RETURN_IF_ERROR(csv::WriteFile(cleaned, args.Str("out")));
+    std::printf("wrote %s (%zu rows)\n", args.Str("out").c_str(), cleaned.NumRows());
   }
   return 0;
 }
 
-int RunRepair(const Args& args) {
-  Result<Table> table = LoadCsv(args);
-  Result<ApproximateSc> asc = SingleConstraint(args);
-  if (!table.ok() || !asc.ok()) {
-    return Fail(!table.ok() ? table.status() : asc.status());
+Result<int> RunRepair(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(args.Str("csv")));
+  SCODED_ASSIGN_OR_RETURN(RepairPlan plan, SuggestCellRepairs(table, args.scs[0],
+                                                              static_cast<size_t>(args.Int("k"))));
+  std::printf("%zu suggested repairs (statistic %.4g -> %.4g):\n", plan.repairs.size(),
+              plan.initial_statistic, plan.final_statistic);
+  for (const CellRepair& repair : plan.repairs) {
+    std::printf("  %s\n", repair.ToString(table).c_str());
   }
-  Result<int64_t> k = FlagInt(args, "k", 10);
-  if (!k.ok()) {
-    return Fail(k.status());
-  }
-  Result<RepairPlan> plan = SuggestCellRepairs(*table, *asc, static_cast<size_t>(*k));
-  if (!plan.ok()) {
-    return Fail(plan.status());
-  }
-  std::printf("%zu suggested repairs (statistic %.4g -> %.4g):\n", plan->repairs.size(),
-              plan->initial_statistic, plan->final_statistic);
-  for (const CellRepair& repair : plan->repairs) {
-    std::printf("  %s\n", repair.ToString(*table).c_str());
-  }
-  auto out = args.flags.find("out");
-  if (out != args.flags.end()) {
-    Result<Table> repaired = ApplyRepairs(*table, plan->repairs);
-    if (!repaired.ok()) {
-      return Fail(repaired.status());
-    }
-    Status write = csv::WriteFile(*repaired, out->second);
-    if (!write.ok()) {
-      return Fail(write);
-    }
-    std::printf("wrote %s\n", out->second.c_str());
+  if (args.Has("out")) {
+    SCODED_ASSIGN_OR_RETURN(Table repaired, ApplyRepairs(table, plan.repairs));
+    SCODED_RETURN_IF_ERROR(csv::WriteFile(repaired, args.Str("out")));
+    std::printf("wrote %s\n", args.Str("out").c_str());
   }
   return 0;
 }
 
-int RunReport(const Args& args) {
-  Result<Table> table = LoadCsv(args);
-  if (!table.ok()) {
-    return Fail(table.status());
-  }
-  if (args.constraints.empty()) {
-    return FailMessage("at least one --sc CONSTRAINT is required");
-  }
-  Result<double> alpha = FlagDouble(args, "alpha", 0.05);
-  Result<int64_t> k = FlagInt(args, "k", 20);
-  Result<double> fdr_q = FlagDouble(args, "fdr", 0.05);
-  if (!alpha.ok() || !k.ok() || !fdr_q.ok()) {
-    return Fail(!alpha.ok() ? alpha.status() : !k.ok() ? k.status() : fdr_q.status());
-  }
-  std::vector<ApproximateSc> constraints;
-  for (const std::string& text : args.constraints) {
-    Result<StatisticalConstraint> sc = ParseConstraint(text);
-    if (!sc.ok()) {
-      return Fail(sc.status());
-    }
-    constraints.push_back({std::move(sc).value(), *alpha});
-  }
+Result<int> RunReport(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(args.Str("csv")));
   ReportOptions options;
-  options.drilldown_k = static_cast<size_t>(*k);
-  options.fdr_q = *fdr_q;
-  Result<CleaningReport> report = GenerateCleaningReport(*table, constraints, options);
-  if (!report.ok()) {
-    return Fail(report.status());
-  }
-  auto fmt = args.flags.find("format");
-  std::string rendered = (fmt != args.flags.end() && fmt->second == "json")
-                             ? report->ToJson(*table)
-                             : report->ToMarkdown(*table, options);
-  auto out = args.flags.find("out");
-  if (out != args.flags.end()) {
-    Status write = WriteTextFile(out->second, rendered);
-    if (!write.ok()) {
-      return Fail(write);
-    }
-    std::printf("wrote %s\n", out->second.c_str());
+  options.drilldown_k = static_cast<size_t>(args.Int("k"));
+  options.fdr_q = args.Double("fdr");
+  SCODED_ASSIGN_OR_RETURN(CleaningReport report, GenerateCleaningReport(table, args.scs, options));
+  std::string rendered = args.Str("format") == "json" ? report.ToJson(table)
+                                                      : report.ToMarkdown(table, options);
+  if (args.Has("out")) {
+    SCODED_RETURN_IF_ERROR(WriteTextFile(args.Str("out"), rendered));
+    std::printf("wrote %s\n", args.Str("out").c_str());
   } else {
     std::fputs(rendered.c_str(), stdout);
   }
-  return report->confirmed_violations > 0 ? 2 : 0;
+  return report.confirmed_violations > 0 ? 2 : 0;
 }
 
-int RunMonitor(const Args& args) {
-  Result<Table> table = LoadCsv(args);
-  if (!table.ok()) {
-    return Fail(table.status());
-  }
-  if (args.constraints.empty()) {
-    return FailMessage("at least one --sc CONSTRAINT is required");
-  }
-  Result<double> alpha = FlagDouble(args, "alpha", 0.05);
-  Result<int64_t> batch_flag = FlagInt(args, "batch", 100);
-  Result<int64_t> window_flag = FlagInt(args, "window", 0);
-  if (!alpha.ok() || !batch_flag.ok() || !window_flag.ok()) {
-    return Fail(!alpha.ok() ? alpha.status()
-                            : !batch_flag.ok() ? batch_flag.status() : window_flag.status());
-  }
-  if (*batch_flag <= 0) {
-    return FailMessage("--batch must be positive");
-  }
-  if (*window_flag < 0) {
-    return FailMessage("--window must be non-negative (0 = unbounded)");
-  }
-  size_t batch = static_cast<size_t>(*batch_flag);
-  std::vector<ApproximateSc> constraints;
-  for (const std::string& text : args.constraints) {
-    Result<StatisticalConstraint> sc = ParseConstraint(text);
-    if (!sc.ok()) {
-      return Fail(sc.status());
-    }
-    constraints.push_back({std::move(sc).value(), *alpha});
-  }
+// Rows [start, start + batch) of `table`, clipped to its end.
+Table BatchAt(const Table& table, size_t start, size_t batch) {
+  std::vector<size_t> rows(std::min(batch, table.NumRows() - start));
+  std::iota(rows.begin(), rows.end(), start);
+  return table.Gather(rows);
+}
+
+Result<int> RunMonitor(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(args.Str("csv")));
   StreamMonitorOptions options;
-  options.monitor.window = static_cast<size_t>(*window_flag);
-  Result<StreamMonitor> stream = StreamMonitor::Create(*table, constraints, options);
-  if (!stream.ok()) {
-    return Fail(stream.status());
-  }
+  options.monitor.window = static_cast<size_t>(args.Int("window"));
+  SCODED_ASSIGN_OR_RETURN(StreamMonitor stream, StreamMonitor::Create(table, args.scs, options));
   std::fputs(serve::MonitorHeaderLine().c_str(), stdout);
-  for (size_t start = 0; start < table->NumRows(); start += batch) {
-    std::vector<size_t> rows;
-    for (size_t i = start; i < std::min(start + batch, table->NumRows()); ++i) {
-      rows.push_back(i);
-    }
-    Status status = stream->Append(table->Gather(rows));
-    if (!status.ok()) {
-      return Fail(status);
-    }
-    for (const StreamMonitor::ConstraintState& state : stream->States()) {
+  const size_t batch = static_cast<size_t>(args.Int("batch"));
+  for (size_t start = 0; start < table.NumRows(); start += batch) {
+    SCODED_RETURN_IF_ERROR(stream.Append(BatchAt(table, start, batch)));
+    for (const StreamMonitor::ConstraintState& state : stream.States()) {
       std::fputs(serve::MonitorStateLine(state).c_str(), stdout);
     }
   }
-  g_telemetry.Merge(stream->AggregateTelemetry());
-  return stream->AnyViolated() ? 2 : 0;
+  g_telemetry.Merge(stream.AggregateTelemetry());
+  return stream.AnyViolated() ? 2 : 0;
 }
 
-int RunDiscover(const Args& args) {
-  Result<Table> table = LoadCsv(args);
-  if (!table.ok()) {
-    return Fail(table.status());
-  }
-  Result<double> alpha = FlagDouble(args, "alpha", 0.05);
-  Result<int64_t> max_cond = FlagInt(args, "max-cond", 2);
-  if (!alpha.ok() || !max_cond.ok()) {
-    return Fail(!alpha.ok() ? alpha.status() : max_cond.status());
-  }
+Result<int> RunDiscover(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(args.Str("csv")));
   PcOptions options;
-  options.alpha = *alpha;
-  options.max_conditioning = static_cast<int>(*max_cond);
-  Result<PcResult> result = LearnPcStructure(*table, options);
-  if (!result.ok()) {
-    return Fail(result.status());
-  }
-  g_telemetry.Merge(result->telemetry);
+  options.alpha = args.Double("alpha");
+  options.max_conditioning = static_cast<int>(args.Int("max-cond"));
+  SCODED_ASSIGN_OR_RETURN(PcResult result, LearnPcStructure(table, options));
+  g_telemetry.Merge(result.telemetry);
   std::printf("discovered constraints (PC, alpha = %g, max conditioning = %d):\n",
               options.alpha, options.max_conditioning);
-  for (const StatisticalConstraint& sc : result->DiscoveredConstraints()) {
+  for (const StatisticalConstraint& sc : result.DiscoveredConstraints()) {
     std::printf("  %s\n", sc.ToString().c_str());
   }
-  if (!result->directed.empty()) {
+  if (!result.directed.empty()) {
     std::printf("v-structure orientations:\n");
-    for (const auto& [from, to] : result->directed) {
-      std::printf("  %s -> %s\n", result->names[static_cast<size_t>(from)].c_str(),
-                  result->names[static_cast<size_t>(to)].c_str());
+    for (const auto& [from, to] : result.directed) {
+      std::printf("  %s -> %s\n", result.names[static_cast<size_t>(from)].c_str(),
+                  result.names[static_cast<size_t>(to)].c_str());
     }
   }
   return 0;
 }
 
-int RunFds(const Args& args) {
-  Result<Table> table = LoadCsv(args);
-  if (!table.ok()) {
-    return Fail(table.status());
-  }
-  Result<double> max_g3 = FlagDouble(args, "max-g3", 0.25);
-  if (!max_g3.ok()) {
-    return Fail(max_g3.status());
-  }
+Result<int> RunFds(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(args.Str("csv")));
   FdDiscoveryOptions options;
-  options.max_g3_ratio = *max_g3;
-  Result<std::vector<DiscoveredFd>> fds = DiscoverApproximateFds(*table, options);
-  if (!fds.ok()) {
-    return Fail(fds.status());
-  }
+  options.max_g3_ratio = args.Double("max-g3");
+  SCODED_ASSIGN_OR_RETURN(std::vector<DiscoveredFd> fds, DiscoverApproximateFds(table, options));
   std::printf("approximate FDs with g3 <= %g (Prop. 2 translation alongside):\n", options.max_g3_ratio);
   std::printf("%-28s %-10s %-12s %s\n", "FD", "g3", "viol.pairs", "as DSC");
-  for (const DiscoveredFd& fd : *fds) {
+  for (const DiscoveredFd& fd : fds) {
     std::printf("%-28s %-10.4f %-12.4f %s\n", fd.fd.ToString().c_str(), fd.g3_ratio,
                 fd.violating_pair_ratio, FdToDsc(fd.fd).ToString().c_str());
   }
   return 0;
 }
 
-int RunConsistency(const Args& args) {
-  if (args.constraints.empty()) {
-    return FailMessage("at least one --sc CONSTRAINT is required");
-  }
+Result<int> RunConsistency(const Args& args) {
   std::vector<StatisticalConstraint> scs;
-  for (const std::string& text : args.constraints) {
-    Result<StatisticalConstraint> sc = ParseConstraint(text);
-    if (!sc.ok()) {
-      return Fail(sc.status());
-    }
-    scs.push_back(std::move(sc).value());
+  for (const ApproximateSc& asc : args.scs) {
+    scs.push_back(asc.sc);
   }
-  Result<ConsistencyReport> report = CheckConsistency(scs);
-  if (!report.ok()) {
-    return Fail(report.status());
-  }
-  if (report->consistent) {
+  SCODED_ASSIGN_OR_RETURN(ConsistencyReport report, CheckConsistency(scs));
+  if (report.consistent) {
     std::printf("consistent (%zu constraints, closure size %zu)\n", scs.size(),
-                report->closure_size);
+                report.closure_size);
     Result<std::vector<StatisticalConstraint>> minimal = MinimizeConstraints(scs);
     if (minimal.ok() && minimal->size() < scs.size()) {
       std::printf("minimal equivalent subset (%zu):\n", minimal->size());
@@ -697,7 +371,7 @@ int RunConsistency(const Args& args) {
     return 0;
   }
   std::printf("INCONSISTENT:\n");
-  for (const std::string& conflict : report->conflicts) {
+  for (const std::string& conflict : report.conflicts) {
     std::printf("  %s\n", conflict.c_str());
   }
   return 2;
@@ -806,45 +480,23 @@ std::string Sparkline(const std::vector<double>& values, size_t width) {
   return out;
 }
 
-int RunTop(const Args& args) {
-  std::string port_text;
-  if (auto it = args.flags.find("port"); it != args.flags.end()) {
-    port_text = it->second;
-  } else if (const char* env = std::getenv("SCODED_METRICS_PORT")) {
-    if (*env != '\0') {
-      port_text = env;
-    }
-  }
-  if (port_text.empty()) {
-    return FailMessage("scoded top requires --port N (or SCODED_METRICS_PORT)");
-  }
-  Result<int64_t> port_value = ParseCheckedInt(port_text, 1, 65535, "--port");
-  if (!port_value.ok()) {
-    return Fail(port_value.status());
-  }
-  long port = static_cast<long>(*port_value);
-  Result<int64_t> interval_ms = FlagInt(args, "interval-ms", 500);
-  Result<int64_t> iterations = FlagInt(args, "iterations", 0);
-  if (!interval_ms.ok() || !iterations.ok()) {
-    return Fail(!interval_ms.ok() ? interval_ms.status() : iterations.status());
-  }
-  if (*interval_ms <= 0) {
-    return FailMessage("--interval-ms must be positive");
-  }
+Result<int> RunTop(const Args& args) {
+  const long port = static_cast<long>(args.Int("port"));
+  const int64_t iterations = args.Int("iterations");
   const bool tty = isatty(STDOUT_FILENO) != 0;
   constexpr int kRenderLines = 8;
   double prev_rows = -1.0;
   int64_t prev_t_us = 0;
   int64_t frames = 0;
-  for (int64_t i = 0; *iterations == 0 || i < *iterations; ++i) {
+  for (int64_t i = 0; iterations == 0 || i < iterations; ++i) {
     if (i > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(*interval_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(args.Int("interval-ms")));
     }
     Result<std::string> metrics = FetchHttp(static_cast<uint16_t>(port), "/metrics");
     if (!metrics.ok()) {
       if (frames == 0) {
         // Never connected: the endpoint probably does not exist — error out.
-        return Fail(metrics.status());
+        return metrics.status();
       }
       // The monitored run finished and closed its endpoint: a clean exit.
       std::printf("scoded top: endpoint on port %ld is gone; run finished\n", port);
@@ -911,48 +563,26 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 
 void HandleServeSignal(int) { g_serve_stop = 1; }
 
-int RunServe(const Args& args) {
-  Result<int64_t> port = FlagInt(args, "port", 0);
-  Result<int64_t> max_sessions = FlagInt(args, "max-sessions", 64);
-  Result<int64_t> idle_secs = FlagInt(args, "idle-secs", 900);
-  Result<int64_t> handlers = FlagInt(args, "handlers", 4);
-  if (!port.ok() || !max_sessions.ok() || !idle_secs.ok() || !handlers.ok()) {
-    return Fail(!port.ok() ? port.status()
-                           : !max_sessions.ok() ? max_sessions.status()
-                                                : !idle_secs.ok() ? idle_secs.status()
-                                                                  : handlers.status());
-  }
-  if (*port < 0 || *port > 65535) {
-    return FailMessage("--port expects a port in [0, 65535]");
-  }
-  if (*max_sessions <= 0) {
-    return FailMessage("--max-sessions must be positive");
-  }
-  if (*idle_secs < 0) {
-    return FailMessage("--idle-secs must be non-negative (0 = never evict)");
-  }
-  if (*handlers <= 0) {
-    return FailMessage("--handlers must be positive");
-  }
+Result<int> RunServe(const Args& args) {
   serve::ServerOptions options;
-  options.port = static_cast<uint16_t>(*port);
-  options.handler_threads = static_cast<size_t>(*handlers);
-  options.sessions.max_sessions = static_cast<size_t>(*max_sessions);
-  options.sessions.idle_evict_millis = *idle_secs * 1000;
+  options.port = static_cast<uint16_t>(args.Int("port"));
+  options.handler_threads = static_cast<size_t>(args.Int("handlers"));
+  options.sessions.max_sessions = static_cast<size_t>(args.Int("max-sessions"));
+  options.sessions.idle_evict_millis = args.Int("idle-secs") * 1000;
   serve::Server server(options);
-  if (Status status = server.Start(); !status.ok()) {
-    return Fail(status);
-  }
+  // Installed before the daemon accepts anything, so a SIGTERM sent as soon
+  // as it answers still drains it cleanly.
+  std::signal(SIGTERM, HandleServeSignal);
+  std::signal(SIGINT, HandleServeSignal);
+  SCODED_RETURN_IF_ERROR(server.Start());
   // The bound port goes to stdout (not just the log) so scripts starting
   // the daemon with --port 0 can discover where it landed.
   std::printf("scoded serve listening on 127.0.0.1:%u\n", server.port());
   std::fflush(stdout);
   obs::LogInfo("serve daemon listening",
                {{"port", static_cast<int64_t>(server.port())},
-                {"max_sessions", *max_sessions},
-                {"idle_secs", *idle_secs}});
-  std::signal(SIGTERM, HandleServeSignal);
-  std::signal(SIGINT, HandleServeSignal);
+                {"max_sessions", args.Int("max-sessions")},
+                {"idle_secs", args.Int("idle-secs")}});
   while (g_serve_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
@@ -962,32 +592,13 @@ int RunServe(const Args& args) {
   return 0;
 }
 
-Result<uint16_t> ClientPort(const Args& args) {
-  Result<int64_t> port = FlagInt(args, "port", 0);
-  if (!port.ok()) {
-    return port.status();
-  }
-  if (*port <= 0 || *port > 65535) {
-    return InvalidArgumentError("scoded client requires --port N in [1, 65535]");
-  }
-  return static_cast<uint16_t>(*port);
-}
+uint16_t ClientPort(const Args& args) { return static_cast<uint16_t>(args.Int("port")); }
 
-int RunClientPing(const Args& args) {
-  Result<uint16_t> port = ClientPort(args);
-  if (!port.ok()) {
-    return Fail(port.status());
-  }
-  Result<serve::Client> client = serve::Client::Connect(*port);
-  if (!client.ok()) {
-    return Fail(client.status());
-  }
-  Result<JsonValue> pong = client->Ping();
-  if (!pong.ok()) {
-    return Fail(pong.status());
-  }
-  const JsonValue* sessions = pong->Find("sessions");
-  std::printf("pong from 127.0.0.1:%u (sessions = %lld)\n", *port,
+Result<int> RunClientPing(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(serve::Client client, serve::Client::Connect(ClientPort(args)));
+  SCODED_ASSIGN_OR_RETURN(JsonValue pong, client.Ping());
+  const JsonValue* sessions = pong.Find("sessions");
+  std::printf("pong from 127.0.0.1:%u (sessions = %lld)\n", ClientPort(args),
               sessions != nullptr && sessions->is_number()
                   ? static_cast<long long>(sessions->number)
                   : 0LL);
@@ -997,39 +608,16 @@ int RunClientPing(const Args& args) {
 // Remote one-shot check: the raw CSV bytes go to the daemon, which parses
 // them with the same reader as `scoded check` and returns the rendered
 // verdict line — output and exit code byte-match the local command.
-int RunClientCheck(const Args& args) {
-  Result<uint16_t> port = ClientPort(args);
-  if (!port.ok()) {
-    return Fail(port.status());
-  }
-  auto csv_path = args.flags.find("csv");
-  if (csv_path == args.flags.end()) {
-    return FailMessage("--csv FILE is required for client check");
-  }
-  if (args.constraints.size() != 1) {
-    return FailMessage("exactly one --sc CONSTRAINT is required for client check");
-  }
-  Result<double> alpha = FlagDouble(args, "alpha", 0.05);
-  if (!alpha.ok()) {
-    return Fail(alpha.status());
-  }
-  Result<std::string> csv_text = ReadTextFile(csv_path->second);
-  if (!csv_text.ok()) {
-    return Fail(csv_text.status());
-  }
-  Result<serve::Client> client = serve::Client::Connect(*port);
-  if (!client.ok()) {
-    return Fail(client.status());
-  }
-  Result<JsonValue> response = client->Check(*csv_text, args.constraints[0], *alpha);
-  if (!response.ok()) {
-    return Fail(response.status());
-  }
-  const JsonValue* line = response->Find("line");
-  const JsonValue* violated = response->Find("violated");
+Result<int> RunClientCheck(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(std::string csv_text, ReadTextFile(args.Str("csv")));
+  SCODED_ASSIGN_OR_RETURN(serve::Client client, serve::Client::Connect(ClientPort(args)));
+  SCODED_ASSIGN_OR_RETURN(JsonValue response,
+                          client.Check(csv_text, args.sc_text[0], args.Double("alpha")));
+  const JsonValue* line = response.Find("line");
+  const JsonValue* violated = response.Find("violated");
   if (line == nullptr || !line->is_string() || violated == nullptr ||
       !violated->is_bool()) {
-    return FailMessage("malformed check response from daemon");
+    return InternalError("malformed check response from daemon");
   }
   std::fputs(line->string_value.c_str(), stdout);
   return violated->bool_value ? 2 : 0;
@@ -1039,126 +627,51 @@ int RunClientCheck(const Args& args) {
 // parsed schema, stream the rows batch by batch, and print the rendered
 // state rows the daemon returns — byte-identical to `scoded monitor` over
 // the same file.
-int RunClientMonitor(const Args& args) {
-  Result<uint16_t> port = ClientPort(args);
-  if (!port.ok()) {
-    return Fail(port.status());
-  }
-  Result<Table> table = LoadCsv(args);
-  if (!table.ok()) {
-    return Fail(table.status());
-  }
-  if (args.constraints.empty()) {
-    return FailMessage("at least one --sc CONSTRAINT is required");
-  }
-  Result<double> alpha = FlagDouble(args, "alpha", 0.05);
-  Result<int64_t> batch_flag = FlagInt(args, "batch", 100);
-  Result<int64_t> window_flag = FlagInt(args, "window", 0);
-  if (!alpha.ok() || !batch_flag.ok() || !window_flag.ok()) {
-    return Fail(!alpha.ok() ? alpha.status()
-                            : !batch_flag.ok() ? batch_flag.status() : window_flag.status());
-  }
-  if (*batch_flag <= 0) {
-    return FailMessage("--batch must be positive");
-  }
-  if (*window_flag < 0) {
-    return FailMessage("--window must be non-negative (0 = unbounded)");
-  }
-  size_t batch = static_cast<size_t>(*batch_flag);
-  std::vector<ApproximateSc> constraints;
-  for (const std::string& text : args.constraints) {
-    Result<StatisticalConstraint> sc = ParseConstraint(text);
-    if (!sc.ok()) {
-      return Fail(sc.status());
-    }
-    constraints.push_back({std::move(sc).value(), *alpha});
-  }
-  Result<serve::Client> client = serve::Client::Connect(*port);
-  if (!client.ok()) {
-    return Fail(client.status());
-  }
-  Result<std::string> session =
-      client->OpenSession(table->schema(), constraints, static_cast<size_t>(*window_flag));
-  if (!session.ok()) {
-    return Fail(session.status());
-  }
+Result<int> RunClientMonitor(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(Table table, csv::ReadFile(args.Str("csv")));
+  SCODED_ASSIGN_OR_RETURN(serve::Client client, serve::Client::Connect(ClientPort(args)));
+  SCODED_ASSIGN_OR_RETURN(
+      std::string session,
+      client.OpenSession(table.schema(), args.scs, static_cast<size_t>(args.Int("window"))));
   std::fputs(serve::MonitorHeaderLine().c_str(), stdout);
   bool any_violated = false;
-  for (size_t start = 0; start < table->NumRows(); start += batch) {
-    std::vector<size_t> rows;
-    for (size_t i = start; i < std::min(start + batch, table->NumRows()); ++i) {
-      rows.push_back(i);
-    }
-    Result<size_t> appended = client->AppendBatch(*session, table->Gather(rows));
-    if (!appended.ok()) {
-      return Fail(appended.status());
-    }
-    Result<JsonValue> state = client->Query(*session);
-    if (!state.ok()) {
-      return Fail(state.status());
-    }
-    const JsonValue* states = state->Find("states");
+  const size_t batch = static_cast<size_t>(args.Int("batch"));
+  for (size_t start = 0; start < table.NumRows(); start += batch) {
+    SCODED_RETURN_IF_ERROR(client.AppendBatch(session, BatchAt(table, start, batch)).status());
+    SCODED_ASSIGN_OR_RETURN(JsonValue state, client.Query(session));
+    const JsonValue* states = state.Find("states");
     if (states == nullptr || !states->is_array()) {
-      return FailMessage("malformed query response from daemon");
+      return InternalError("malformed query response from daemon");
     }
     for (const JsonValue& entry : states->array) {
       const JsonValue* line = entry.Find("line");
       if (line == nullptr || !line->is_string()) {
-        return FailMessage("malformed query response from daemon");
+        return InternalError("malformed query response from daemon");
       }
       std::fputs(line->string_value.c_str(), stdout);
     }
-    if (const JsonValue* v = state->Find("any_violated"); v != nullptr && v->is_bool()) {
+    if (const JsonValue* v = state.Find("any_violated"); v != nullptr && v->is_bool()) {
       any_violated = v->bool_value;
     }
   }
-  if (Status closed = client->CloseSession(*session); !closed.ok()) {
-    return Fail(closed);
-  }
+  SCODED_RETURN_IF_ERROR(client.CloseSession(session));
   return any_violated ? 2 : 0;
 }
 
-int RunClient(const Args& args) {
-  if (args.positional.size() != 1) {
-    return FailMessage("scoded client expects one action: ping, check, or monitor");
-  }
-  const std::string& action = args.positional[0];
-  if (action == "ping") {
-    return RunClientPing(args);
-  }
-  if (action == "check") {
-    return RunClientCheck(args);
-  }
-  if (action == "monitor") {
-    return RunClientMonitor(args);
-  }
-  return FailMessage("unknown client action '" + action +
-                     "' (expected ping, check, or monitor)");
-}
-
 // scoded inspect FILE — pretty-print flight-recorder crash/stall reports.
-int RunInspect(const Args& args) {
-  if (args.positional.size() != 1) {
-    return FailMessage("scoded inspect expects exactly one report FILE");
-  }
-  Result<std::string> text = ReadTextFile(args.positional[0]);
-  if (!text.ok()) {
-    return Fail(text.status());
-  }
-  Result<std::vector<obs::FlightReport>> reports = obs::ParseFlightReports(*text);
-  if (!reports.ok()) {
-    return Fail(reports.status());
-  }
-  for (size_t i = 0; i < reports->size(); ++i) {
+Result<int> RunInspect(const Args& args) {
+  SCODED_ASSIGN_OR_RETURN(std::string text, ReadTextFile(args.operands[0]));
+  SCODED_ASSIGN_OR_RETURN(std::vector<obs::FlightReport> reports, obs::ParseFlightReports(text));
+  for (size_t i = 0; i < reports.size(); ++i) {
     if (i > 0) {
       std::printf("\n");
     }
-    std::fputs(obs::RenderFlightReport((*reports)[i]).c_str(), stdout);
+    std::fputs(obs::RenderFlightReport(reports[i]).c_str(), stdout);
   }
   return 0;
 }
 
-int RunVersion() {
+Result<int> RunVersion(const Args&) {
   obs::BuildInfo info = obs::GetBuildInfo();
   std::printf("scoded %s\n", std::string(info.git_describe).c_str());
   std::printf("build type: %s\n", std::string(info.build_type).c_str());
@@ -1172,123 +685,397 @@ int RunVersion() {
 // descriptor (--fd, fork transport) or a loopback port to dial
 // (--connect-port, tcp transport) and it serves summarize requests until
 // the coordinator hangs up.
-int RunWorker(const Args& args) {
-  bool has_fd = args.flags.count("fd") > 0;
-  bool has_port = args.flags.count("connect-port") > 0;
-  if (has_fd == has_port) {
-    return FailMessage("scoded worker requires exactly one of --fd N or --connect-port N");
-  }
+Result<int> RunWorker(const Args& args) {
   net::TcpConn conn;
-  if (has_fd) {
-    Result<int64_t> fd = FlagCheckedInt(args, "fd", -1, 3, INT32_MAX);
-    if (!fd.ok()) {
-      return Fail(fd.status());
-    }
-    conn = net::TcpConn(static_cast<int>(*fd));
+  if (args.Has("fd")) {
+    conn = net::TcpConn(static_cast<int>(args.Int("fd")));
   } else {
-    Result<int64_t> port = FlagCheckedInt(args, "connect-port", 0, 1, 65535);
-    if (!port.ok()) {
-      return Fail(port.status());
-    }
-    Result<net::TcpConn> dialed = net::DialLoopback(static_cast<uint16_t>(*port));
-    if (!dialed.ok()) {
-      return Fail(dialed.status());
-    }
-    conn = std::move(*dialed);
+    SCODED_ASSIGN_OR_RETURN(conn,
+                            net::DialLoopback(static_cast<uint16_t>(args.Int("connect-port"))));
   }
-  Status served = dist::ServeWorker(conn);
-  return served.ok() ? 0 : Fail(served);
+  SCODED_RETURN_IF_ERROR(dist::ServeWorker(conn));
+  return 0;
 }
 
-int Dispatch(const Args& args) {
-  // Only `inspect` and `client` take bare operands; anywhere else they are
-  // typos.
-  if (!args.positional.empty() && args.command != "inspect" && args.command != "client") {
-    return Usage();
+// ----------------------------------------------------------------------
+// The flag table.
+
+// Accepted by every command.
+const std::vector<Flag>& GlobalFlags() {
+  static const std::vector<Flag> flags = {
+      IntFlag("threads", "", 1, INT32_MAX),
+      PathFlag("trace-out"),
+      PathFlag("stats", Kind::kOptionalPath),
+      PathFlag("profile", Kind::kOptionalPath),
+      EnumFlag("log-level", "", "debug|info|warn|error|off"),
+      IntFlag("metrics-port", "", 0, 65535, "SCODED_METRICS_PORT"),
+      IntFlag("flight-recorder-events", "", 0, kMaxInt, "SCODED_FLIGHT_RECORDER_EVENTS"),
+      RealFlag("watchdog-secs", "0", 0.0, 1e6, "SCODED_WATCHDOG_SECS"),
+  };
+  return flags;
+}
+
+const std::vector<Command>& Commands() {
+  const Flag csv = Required(PathFlag("csv"));
+  const Flag out = PathFlag("out");
+  const Flag alpha = RealFlag("alpha", "0.05", 0.0, 1.0);
+  const Flag batch = IntFlag("batch", "100", 1, kMaxInt);
+  const Flag window = IntFlag("window", "0", 0, kMaxInt);
+  const Flag client_port = Required(IntFlag("port", "", 1, 65535));
+  // SCODED_METRICS_PORT names the endpoint of a run being watched: `top`
+  // reads it as its --port, and a worker inherits it from its coordinator,
+  // so neither may open an endpoint of its own on it.
+  const Flag metrics_port_no_env = IntFlag("metrics-port", "", 0, 65535);
+  static const std::vector<Command> commands = {
+      {"profile", ScArity::kNone, "", {csv}, RunProfile},
+      {"check", ScArity::kOne, "",
+       {csv, alpha, IntFlag("shard-rows", "", 0, kMaxInt, "SCODED_SHARD_ROWS"),
+        IntFlag("workers", "0", 0, 1024), EnumFlag("worker-transport", "fork", "fork|tcp")},
+       RunCheck},
+      {"drill", ScArity::kOne, "",
+       {csv, alpha, IntFlag("k", "10", 0, kMaxInt), EnumFlag("strategy", "auto", "k|kc|auto")},
+       RunDrill},
+      {"partition", ScArity::kOne, "", {csv, alpha, RealFlag("max-removal", "0.5", 0.0, 1.0), out},
+       RunPartition},
+      {"repair", ScArity::kOne, "", {csv, alpha, IntFlag("k", "10", 0, kMaxInt), out}, RunRepair},
+      {"monitor", ScArity::kOneOrMore, "", {csv, alpha, batch, window}, RunMonitor},
+      {"report", ScArity::kOneOrMore, "",
+       {csv, alpha, IntFlag("k", "20", 0, kMaxInt), EnumFlag("format", "md", "md|json"),
+        RealFlag("fdr", "0.05", 0.0, 1.0), out},
+       RunReport},
+      {"discover", ScArity::kNone, "", {csv, alpha, IntFlag("max-cond", "2", 0, INT32_MAX)},
+       RunDiscover},
+      {"fds", ScArity::kNone, "", {csv, RealFlag("max-g3", "0.25", 0.0, 1.0)}, RunFds},
+      {"consistency", ScArity::kOneOrMore, "", {}, RunConsistency},
+      {"serve", ScArity::kNone, "",
+       {IntFlag("port", "0", 0, 65535), IntFlag("max-sessions", "64", 1, kMaxInt),
+        IntFlag("idle-secs", "900", 0, kMaxInt / 1000), IntFlag("handlers", "4", 1, 1024)},
+       RunServe},
+      {"client ping", ScArity::kNone, "", {client_port}, RunClientPing},
+      {"client check", ScArity::kOne, "", {client_port, csv, alpha}, RunClientCheck},
+      {"client monitor", ScArity::kOneOrMore, "", {client_port, csv, alpha, batch, window},
+       RunClientMonitor},
+      {"top", ScArity::kNone, "",
+       {Required(IntFlag("port", "", 1, 65535, "SCODED_METRICS_PORT")),
+        IntFlag("interval-ms", "500", 1, kMaxInt), IntFlag("iterations", "0", 0, kMaxInt),
+        metrics_port_no_env},
+       RunTop},
+      {"inspect", ScArity::kNone, "FILE", {}, RunInspect},
+      {"version", ScArity::kNone, "", {}, RunVersion},
+      // Takes exactly one of the two endpoints (checked in ParseArgs).
+      {"worker", ScArity::kNone, "",
+       {IntFlag("fd", "", 3, INT32_MAX), IntFlag("connect-port", "", 1, 65535),
+        metrics_port_no_env},
+       RunWorker},
+  };
+  return commands;
+}
+
+const Flag* FindIn(const std::vector<Flag>& flags, std::string_view name) {
+  for (const Flag& flag : flags) {
+    if (flag.name == name) {
+      return &flag;
+    }
   }
-  if (args.command == "profile") {
-    return RunProfile(args);
+  return nullptr;
+}
+
+// The command's own declaration of `name`, else the global one.
+const Flag* FindFlag(const Command& command, std::string_view name) {
+  const Flag* own = FindIn(command.flags, name);
+  return own != nullptr ? own : FindIn(GlobalFlags(), name);
+}
+
+Result<Value> ParseValue(const Flag& flag, const std::string& text, const std::string& what) {
+  Value value{text};
+  if (flag.kind == Kind::kInt) {
+    SCODED_ASSIGN_OR_RETURN(value.int_value, ParseCheckedInt(text, flag.min, flag.max, what));
+  } else if (flag.kind == Kind::kDouble) {
+    std::optional<double> parsed = ParseDouble(text);
+    // Written to reject NaN too.
+    if (!parsed.has_value() || !(*parsed >= flag.dmin && *parsed <= flag.dmax)) {
+      char range[64];
+      std::snprintf(range, sizeof(range), "[%g, %g]", flag.dmin, flag.dmax);
+      return InvalidArgumentError(what + " expects a number in " + range + ", got '" + text + "'");
+    }
+    value.double_value = *parsed;
+  } else if (flag.kind == Kind::kEnum) {
+    std::vector<std::string> choices = Split(flag.choices, '|');
+    if (std::find(choices.begin(), choices.end(), text) == choices.end()) {
+      return InvalidArgumentError(what + " expects one of " + std::string(flag.choices) +
+                                  ", got '" + text + "'");
+    }
   }
-  if (args.command == "check") {
-    return RunCheck(args);
+  return value;
+}
+
+// Checks a command line against the table and fills `args` with typed
+// values. On error `args->spec` stays null when the command is unknown.
+Status ParseArgs(int argc, char** argv, Args* args) {
+  args->command = argv[1];
+  std::vector<std::pair<std::string, std::string>> given;
+  for (int i = 2; i < argc; ++i) {
+    std::string token = argv[i];
+    if (token.rfind("--", 0) != 0) {
+      args->operands.push_back(std::move(token));
+      continue;
+    }
+    std::string name = token.substr(2);
+    // --stats / --profile may appear without a FILE (output to stderr).
+    const Flag* global = FindIn(GlobalFlags(), name);
+    if (global != nullptr && global->kind == Kind::kOptionalPath &&
+        (i + 1 >= argc || std::string_view(argv[i + 1]).rfind("--", 0) == 0)) {
+      given.emplace_back(std::move(name), "-");
+      continue;
+    }
+    if (i + 1 >= argc) {
+      return InvalidArgumentError(token + " expects a value");
+    }
+    if (name == "sc") {
+      args->sc_text.push_back(argv[++i]);
+    } else {
+      given.emplace_back(std::move(name), argv[++i]);
+    }
   }
-  if (args.command == "drill") {
-    return RunDrill(args);
+
+  // "client ping" is the command `client` with the action `ping` as its
+  // first operand.
+  std::vector<std::string> actions;
+  for (const Command& command : Commands()) {
+    if (command.name == args->command ||
+        (!args->operands.empty() && command.name == args->command + " " + args->operands[0])) {
+      args->spec = &command;
+      break;
+    }
+    if (command.name.rfind(args->command + " ", 0) == 0) {
+      actions.emplace_back(command.name.substr(args->command.size() + 1));
+    }
   }
-  if (args.command == "partition") {
-    return RunPartition(args);
+  if (args->spec == nullptr && !actions.empty()) {
+    return InvalidArgumentError("scoded " + args->command +
+                                " expects one action: " + Join(actions, ", "));
   }
-  if (args.command == "repair") {
-    return RunRepair(args);
+  if (args->spec == nullptr) {
+    return InvalidArgumentError("unknown command '" + args->command + "'");
   }
-  if (args.command == "monitor") {
-    return RunMonitor(args);
+  const Command& command = *args->spec;
+  const std::string who = "scoded " + std::string(command.name);
+
+  const size_t operands = (command.name.find(' ') != std::string_view::npos ? 1 : 0) +
+                          (command.operand.empty() ? 0 : 1);
+  if (args->operands.size() != operands) {
+    return InvalidArgumentError(who + " expects " + std::to_string(operands) + " operand(s), got " +
+                                std::to_string(args->operands.size()));
   }
-  if (args.command == "report") {
-    return RunReport(args);
+  if (command.sc == ScArity::kNone && !args->sc_text.empty()) {
+    return InvalidArgumentError(who + " does not take --sc");
   }
-  if (args.command == "discover") {
-    return RunDiscover(args);
+  if (command.sc == ScArity::kOne && args->sc_text.size() != 1) {
+    return InvalidArgumentError("exactly one --sc CONSTRAINT is required for this command");
   }
-  if (args.command == "fds") {
-    return RunFds(args);
+  if (command.sc == ScArity::kOneOrMore && args->sc_text.empty()) {
+    return InvalidArgumentError("at least one --sc CONSTRAINT is required");
   }
-  if (args.command == "consistency") {
-    return RunConsistency(args);
+
+  for (const auto& [name, text] : given) {
+    const Flag* flag = FindFlag(command, name);
+    if (flag == nullptr) {
+      bool known = std::any_of(Commands().begin(), Commands().end(), [&](const Command& other) {
+        return FindIn(other.flags, name) != nullptr;
+      });
+      return InvalidArgumentError(known ? who + " does not take --" + name
+                                        : "unknown flag --" + name);
+    }
+    SCODED_ASSIGN_OR_RETURN(args->values[name], ParseValue(*flag, text, "--" + name));
   }
-  if (args.command == "serve") {
-    return RunServe(args);
+  // Precedence for every flag not given: environment variable > default.
+  auto fall_back = [&](const Flag& flag) -> Status {
+    std::string name(flag.name);
+    if (args->Has(name)) {
+      return OkStatus();
+    }
+    std::string env(flag.env);
+    const char* env_value = env.empty() ? nullptr : std::getenv(env.c_str());
+    if (env_value != nullptr && *env_value != '\0') {
+      SCODED_ASSIGN_OR_RETURN(args->values[name], ParseValue(flag, env_value, env));
+    } else if (flag.required) {
+      return InvalidArgumentError("--" + name + " is required for " + who +
+                                  (env.empty() ? "" : " (or set " + env + ")"));
+    } else if (!flag.def.empty()) {
+      SCODED_ASSIGN_OR_RETURN(args->values[name],
+                              ParseValue(flag, std::string(flag.def), "--" + name));
+    }
+    return OkStatus();
+  };
+  for (const Flag& flag : command.flags) {
+    SCODED_RETURN_IF_ERROR(fall_back(flag));
   }
-  if (args.command == "client") {
-    return RunClient(args);
+  for (const Flag& flag : GlobalFlags()) {
+    if (FindFlag(command, flag.name) == &flag) {
+      SCODED_RETURN_IF_ERROR(fall_back(flag));
+    }
   }
-  if (args.command == "top") {
-    return RunTop(args);
+
+  const double alpha = args->Has("alpha") ? args->Double("alpha") : ApproximateSc{}.alpha;
+  for (const std::string& text : args->sc_text) {
+    SCODED_ASSIGN_OR_RETURN(StatisticalConstraint sc, ParseConstraint(text));
+    args->scs.push_back({std::move(sc), alpha});
   }
-  if (args.command == "inspect") {
-    return RunInspect(args);
+  if (command.name == "worker" && args->Has("fd") == args->Has("connect-port")) {
+    return InvalidArgumentError("scoded worker requires exactly one of --fd N or --connect-port N");
   }
-  if (args.command == "version") {
-    return RunVersion();
+  return OkStatus();
+}
+
+std::string FlagUsage(const Flag& flag) {
+  static const char* const kMetavar[] = {" N", " X", "", " FILE", " [FILE]"};
+  std::string text = "--" + std::string(flag.name) + kMetavar[static_cast<int>(flag.kind)];
+  if (flag.kind == Kind::kEnum) {
+    text += " " + std::string(flag.choices);
   }
-  if (args.command == "worker") {
-    return RunWorker(args);
+  return flag.required ? text : "[" + text + "]";
+}
+
+// Appends `words` as one entry, wrapped at 100 columns.
+void AppendWrapped(const std::vector<std::string>& words, std::string* out) {
+  size_t column = 0;
+  for (const std::string& word : words) {
+    if (column > 0 && column + 1 + word.size() > 100) {
+      *out += "\n       ";
+      column = 7;
+    } else if (column > 0) {
+      *out += " ";
+      ++column;
+    }
+    *out += word;
+    column += word.size();
   }
-  return Usage();
+  *out += "\n";
+}
+
+// Generated from the table, so it lists every flag each command takes.
+int Usage() {
+  std::string text = "usage: scoded <command> [flags]   (exit 0 ok, 2 violated, 1 error)\n";
+  for (const Command& command : Commands()) {
+    std::vector<std::string> words = {"  " + std::string(command.name)};
+    if (!command.operand.empty()) {
+      words.emplace_back(command.operand);
+    }
+    // Required flags first, then --sc, then the optional flags.
+    auto add_flags = [&](bool required) {
+      for (const Flag& flag : command.flags) {
+        if (flag.required == required && FindIn(GlobalFlags(), flag.name) == nullptr) {
+          words.push_back(FlagUsage(flag));
+        }
+      }
+    };
+    add_flags(true);
+    if (command.sc != ScArity::kNone) {
+      words.emplace_back("--sc SC");
+    }
+    if (command.sc == ScArity::kOneOrMore) {
+      words.emplace_back("[--sc SC ...]");
+    }
+    add_flags(false);
+    AppendWrapped(words, &text);
+  }
+  std::vector<std::string> words = {"global flags:"};
+  for (const Flag& flag : GlobalFlags()) {
+    words.push_back(FlagUsage(flag));
+  }
+  AppendWrapped(words, &text);
+  std::fputs(text.c_str(), stderr);
+  return 1;
+}
+
+// Sets up what the global flags ask for before the command runs.
+Status StartGlobals(const Args& args) {
+  if (args.Has("log-level")) {
+    obs::SetMinLogLevel(*obs::ParseLogLevel(args.Str("log-level")));
+  }
+  if (args.Has("threads")) {
+    parallel::SetThreads(static_cast<int>(args.Int("threads")));
+  }
+  if (args.Has("trace-out")) {
+    obs::Tracer::Global().Enable();
+  }
+  if (args.Has("profile")) {
+    obs::EnableProfiler();
+  }
+  // Live telemetry endpoint, started before dispatch so a scrape observes
+  // the whole run; everything it serves is read-only over atomics, so the
+  // command's output is byte-identical with or without it.
+  if (args.Has("metrics-port")) {
+    SCODED_RETURN_IF_ERROR(
+        obs::MetricsServer::Global().Start(static_cast<uint16_t>(args.Int("metrics-port"))));
+    if (Status sampler = obs::Sampler::Global().Start(); !sampler.ok()) {
+      obs::MetricsServer::Global().Stop();
+      return sampler;
+    }
+    obs::LogInfo("metrics endpoint listening",
+                 {{"port", static_cast<int64_t>(obs::MetricsServer::Global().port())},
+                  {"paths", "/metrics /healthz /timeseries"}});
+  }
+  // Flight recorder: armed by default so a crash or stall of any run leaves
+  // a diagnosable report; 0 events disables it. The journal is
+  // forensic-only, so command output is byte-identical with or without it.
+  obs::FlightRecorderOptions recorder;
+  if (args.Has("flight-recorder-events")) {
+    recorder.events_per_thread = static_cast<size_t>(args.Int("flight-recorder-events"));
+  }
+  if (recorder.events_per_thread > 0) {
+    if (const char* dir = std::getenv("SCODED_CRASH_DIR"); dir != nullptr && *dir != '\0') {
+      recorder.report_dir = dir;
+    }
+    if (Status status = obs::ArmFlightRecorder(recorder); !status.ok()) {
+      if (args.Has("flight-recorder-events")) {
+        return status;
+      }
+      // Default-on is best effort: an obs-disabled build or an unwritable
+      // report directory downgrades to running without the recorder.
+      obs::LogDebug("flight recorder not armed", {{"reason", status.message()}});
+    }
+  }
+  // Watchdog: dumps a stall report when the run stops making progress.
+  if (args.Double("watchdog-secs") > 0.0) {
+    obs::WatchdogOptions options;
+    options.stall_seconds = args.Double("watchdog-secs");
+    SCODED_RETURN_IF_ERROR(obs::StartWatchdog(options));
+  }
+  return OkStatus();
 }
 
 // Writes the trace file, profile output, and/or the --stats summary after
 // the command ran. An observability failure never masks the command's exit
 // code, but turns a success into an error.
 int EmitObservability(const Args& args, int rc) {
-  auto trace = args.flags.find("trace-out");
-  if (trace != args.flags.end()) {
-    Status status = obs::Tracer::Global().WriteFile(trace->second);
+  auto failed = [rc](const Status& status) {
+    Fail(status);
+    return rc == 0 ? 1 : rc;
+  };
+  if (args.Has("trace-out")) {
+    Status status = obs::Tracer::Global().WriteFile(args.Str("trace-out"));
     if (!status.ok()) {
-      obs::LogError(status.message(), {{"code", StatusCodeToString(status.code())}});
-      return rc == 0 ? 1 : rc;
+      return failed(status);
     }
     obs::LogInfo("wrote trace",
-                 {{"path", trace->second},
+                 {{"path", args.Str("trace-out")},
                   {"events", static_cast<int64_t>(obs::Tracer::Global().NumEvents())}});
   }
-  auto profile = args.flags.find("profile");
-  if (profile != args.flags.end()) {
-    if (profile->second == "-") {
+  if (args.Has("profile")) {
+    if (args.Str("profile") == "-") {
       std::fputs(obs::Profiler::Global().FlatTableText(20).c_str(), stderr);
     } else {
-      Status status = obs::Profiler::Global().WriteFile(profile->second);
+      Status status = obs::Profiler::Global().WriteFile(args.Str("profile"));
       if (!status.ok()) {
-        obs::LogError(status.message(), {{"code", StatusCodeToString(status.code())}});
-        return rc == 0 ? 1 : rc;
+        return failed(status);
       }
       obs::LogInfo("wrote profile",
-                   {{"path", profile->second},
+                   {{"path", args.Str("profile")},
                     {"spans", static_cast<int64_t>(obs::Profiler::Global().NumSpanNames())}});
     }
   }
-  auto stats = args.flags.find("stats");
-  if (stats != args.flags.end()) {
+  if (args.Has("stats")) {
     JsonWriter json;
     json.BeginObject();
     json.Key("command").String(args.command);
@@ -1301,14 +1088,10 @@ int EmitObservability(const Args& args, int rc) {
       json.Key("profile").Raw(obs::Profiler::Global().SnapshotJson());
     }
     json.EndObject();
-    if (stats->second == "-") {
+    if (args.Str("stats") == "-") {
       std::fprintf(stderr, "%s\n", json.str().c_str());
-    } else {
-      Status status = WriteTextFile(stats->second, json.str());
-      if (!status.ok()) {
-        obs::LogError(status.message(), {{"code", StatusCodeToString(status.code())}});
-        return rc == 0 ? 1 : rc;
-      }
+    } else if (Status status = WriteTextFile(args.Str("stats"), json.str()); !status.ok()) {
+      return failed(status);
     }
   }
   return rc;
@@ -1317,136 +1100,16 @@ int EmitObservability(const Args& args, int rc) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
+  if (argc < 2) {
     return Usage();
   }
-  auto log_level = args.flags.find("log-level");
-  if (log_level != args.flags.end()) {
-    Result<obs::LogLevel> level = obs::ParseLogLevel(log_level->second);
-    if (!level.ok()) {
-      return Fail(level.status());
-    }
-    obs::SetMinLogLevel(*level);
+  Args args;
+  if (Status parsed = ParseArgs(argc, argv, &args); !parsed.ok()) {
+    Fail(parsed);
+    return args.spec == nullptr ? Usage() : 1;
   }
-  if (args.flags.count("threads") > 0) {
-    Result<int64_t> threads = FlagInt(args, "threads", 0);
-    if (!threads.ok() || *threads <= 0) {
-      return FailMessage("--threads expects a positive integer");
-    }
-    parallel::SetThreads(static_cast<int>(*threads));
-  }
-  if (args.flags.count("trace-out") > 0) {
-    obs::Tracer::Global().Enable();
-  }
-  if (args.flags.count("profile") > 0) {
-    obs::EnableProfiler();
-  }
-  // Live telemetry endpoint: --metrics-port wins over SCODED_METRICS_PORT.
-  // Started before dispatch so a scrape observes the whole run; everything
-  // it serves is read-only over atomics, so the command's output is
-  // byte-identical with or without it.
-  bool metrics_endpoint = false;
-  {
-    std::string port_text;
-    auto metrics_port = args.flags.find("metrics-port");
-    if (metrics_port != args.flags.end()) {
-      port_text = metrics_port->second;
-    } else if (const char* env = std::getenv("SCODED_METRICS_PORT")) {
-      if (*env != '\0') {
-        port_text = env;
-      }
-    }
-    if (!port_text.empty()) {
-      Result<int64_t> port = ParseCheckedInt(port_text, 0, 65535, "--metrics-port");
-      if (!port.ok()) {
-        return Fail(port.status());
-      }
-      Status status = obs::MetricsServer::Global().Start(static_cast<uint16_t>(*port));
-      if (!status.ok()) {
-        return Fail(status);
-      }
-      if (Status sampler = obs::Sampler::Global().Start(); !sampler.ok()) {
-        obs::MetricsServer::Global().Stop();
-        return Fail(sampler);
-      }
-      metrics_endpoint = true;
-      obs::LogInfo("metrics endpoint listening",
-                   {{"port", static_cast<int64_t>(obs::MetricsServer::Global().port())},
-                    {"paths", "/metrics /healthz /timeseries"}});
-    }
-  }
-  // Flight recorder: armed by default so a crash or stall of any run leaves
-  // a diagnosable report. --flight-recorder-events wins over the
-  // SCODED_FLIGHT_RECORDER_EVENTS environment variable; 0 disables. The
-  // journal is forensic-only, so command output is byte-identical with or
-  // without it.
-  {
-    int64_t events = 256;
-    bool explicit_request = false;
-    if (args.flags.count("flight-recorder-events") > 0) {
-      Result<int64_t> flag = FlagInt(args, "flight-recorder-events", events);
-      if (!flag.ok() || *flag < 0) {
-        return FailMessage("--flight-recorder-events expects a non-negative integer");
-      }
-      events = *flag;
-      explicit_request = true;
-    } else if (const char* env = std::getenv("SCODED_FLIGHT_RECORDER_EVENTS")) {
-      if (*env != '\0') {
-        Result<int64_t> value =
-            ParseCheckedInt(env, 0, INT64_MAX, "SCODED_FLIGHT_RECORDER_EVENTS");
-        if (!value.ok()) {
-          return Fail(value.status());
-        }
-        events = *value;
-        explicit_request = true;
-      }
-    }
-    if (events > 0) {
-      obs::FlightRecorderOptions options;
-      options.events_per_thread = static_cast<size_t>(events);
-      if (const char* dir = std::getenv("SCODED_CRASH_DIR"); dir != nullptr && *dir != '\0') {
-        options.report_dir = dir;
-      }
-      if (Status status = obs::ArmFlightRecorder(options); !status.ok()) {
-        if (explicit_request) {
-          return Fail(status);
-        }
-        // Default-on is best effort: an obs-disabled build or an unwritable
-        // report directory downgrades to running without the recorder.
-        obs::LogDebug("flight recorder not armed", {{"reason", status.message()}});
-      }
-    }
-  }
-  // Watchdog: dumps a stall report when the run stops making progress.
-  // --watchdog-secs wins over SCODED_WATCHDOG_SECS; absent or 0 = off.
-  {
-    Result<double> flag = FlagDouble(args, "watchdog-secs", 0.0);
-    if (!flag.ok()) {
-      return Fail(flag.status());
-    }
-    double stall_seconds = *flag;
-    if (args.flags.count("watchdog-secs") == 0) {
-      if (const char* env = std::getenv("SCODED_WATCHDOG_SECS")) {
-        if (*env != '\0') {
-          // The one non-integer knob; the shared strict double parser
-          // applies the same no-trailing-junk rule.
-          std::optional<double> value = ParseDouble(env);
-          if (!value.has_value()) {
-            return FailMessage(std::string("SCODED_WATCHDOG_SECS expects a number, got '") +
-                               env + "'");
-          }
-          stall_seconds = *value;
-        }
-      }
-    }
-    if (stall_seconds > 0.0) {
-      obs::WatchdogOptions options;
-      options.stall_seconds = stall_seconds;
-      if (Status status = obs::StartWatchdog(options); !status.ok()) {
-        return Fail(status);
-      }
-    }
+  if (Status started = StartGlobals(args); !started.ok()) {
+    return Fail(started);
   }
   int rc = 1;
   {
@@ -1454,9 +1117,10 @@ int main(int argc, char** argv) {
     if (timer.span().active()) {
       timer.span().Arg("command", args.command);
     }
-    rc = Dispatch(args);
+    Result<int> result = args.spec->run(args);
+    rc = result.ok() ? *result : Fail(result.status());
   }
-  if (metrics_endpoint) {
+  if (args.Has("metrics-port")) {
     // Final tick so /timeseries captured the end state, then tear down
     // before the observability artefacts are written.
     obs::Sampler::Global().SampleOnce();
