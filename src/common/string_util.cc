@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace scoded {
@@ -21,18 +22,6 @@ std::vector<std::string> Split(std::string_view input, char delimiter) {
   return parts;
 }
 
-std::string_view Trim(std::string_view input) {
-  size_t begin = 0;
-  size_t end = input.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(input[begin]))) {
-    ++begin;
-  }
-  while (end > begin && std::isspace(static_cast<unsigned char>(input[end - 1]))) {
-    --end;
-  }
-  return input.substr(begin, end - begin);
-}
-
 std::string Join(const std::vector<std::string>& parts, std::string_view separator) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {
@@ -49,11 +38,30 @@ std::optional<double> ParseDouble(std::string_view input) {
   if (trimmed.empty()) {
     return std::nullopt;
   }
-  // std::from_chars for double is not universally available; strtod on a
-  // NUL-terminated copy is portable and exact.
+  // Integers of up to 15 digits are below 2^53, so converting them is exact.
+  size_t digits_begin = trimmed[0] == '-' ? 1 : 0;
+  if (trimmed.size() > digits_begin && trimmed.size() - digits_begin <= 15) {
+    uint64_t magnitude = 0;
+    size_t i = digits_begin;
+    for (; i < trimmed.size() && trimmed[i] >= '0' && trimmed[i] <= '9'; ++i) {
+      magnitude = magnitude * 10 + static_cast<uint64_t>(trimmed[i] - '0');
+    }
+    if (i == trimmed.size()) {
+      double value = static_cast<double>(magnitude);
+      return digits_begin == 1 ? -value : value;
+    }
+  }
+  // Otherwise from_chars is exact and needs no copy. It rejects what strtod
+  // also accepts (a leading '+', hex, out-of-range values) and drops a NaN's
+  // payload, so those inputs fall through to strtod on a NUL-terminated copy.
+  double value = 0.0;
+  auto [ptr, ec] = std::from_chars(trimmed.data(), trimmed.data() + trimmed.size(), value);
+  if (ec == std::errc() && ptr == trimmed.data() + trimmed.size() && !std::isnan(value)) {
+    return value;
+  }
   std::string buffer(trimmed);
   char* end = nullptr;
-  double value = std::strtod(buffer.c_str(), &end);
+  value = std::strtod(buffer.c_str(), &end);
   if (end != buffer.c_str() + buffer.size()) {
     return std::nullopt;
   }

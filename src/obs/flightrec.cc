@@ -372,7 +372,9 @@ void JournalAppend(JournalEventType type, const char* name, std::string_view tex
   e.name.store(name, std::memory_order_relaxed);
   e.type.store(type, std::memory_order_relaxed);
   size_t n = std::min(text.size(), kEventTextBytes - 1);
-  std::memcpy(e.text, text.data(), n);
+  if (n > 0) {  // span and heartbeat events pass an empty view whose data() is null
+    std::memcpy(e.text, text.data(), n);
+  }
   e.text[n] = '\0';
   j->seq.store(seq + 1, std::memory_order_release);
 }

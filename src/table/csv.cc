@@ -1,25 +1,96 @@
 #include "table/csv.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <fstream>
 #include <sstream>
 
 #include "common/string_util.h"
+#include "obs/trace.h"
 #include "table/csv_scan.h"
 
 namespace scoded::csv {
 
 namespace {
 
-// Scans the whole input into records with a single quote-aware pass (see
-// RecordScanner for the field/record semantics). The incremental scanner
-// is the one implementation of those semantics, so the in-memory and
-// chunked shard paths cannot diverge.
-Result<std::vector<RawRecord>> ScanRecords(std::string_view text, char delimiter) {
-  RecordScanner scanner(delimiter);
-  std::vector<RawRecord> records;
-  scanner.Consume(text, &records);
-  SCODED_RETURN_IF_ERROR(scanner.Finish(&records));
-  return records;
+// Reads the whole file into one buffer sized by fstat, one byte over so the
+// read that sees end of file needs no growth. A file that reports no size,
+// or grows while being read, doubles the buffer as it fills.
+Result<std::string> ReadWholeFile(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return NotFoundError("cannot open CSV file '" + path + "'");
+  }
+  struct stat st {};
+  bool sized = ::fstat(fd, &st) == 0 && st.st_size > 0;
+  std::string text(sized ? static_cast<size_t>(st.st_size) + 1 : 4096, '\0');
+  size_t size = 0;
+  while (true) {
+    if (size == text.size()) {
+      text.resize(2 * size);
+    }
+    ssize_t got = ::read(fd, text.data() + size, text.size() - size);
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got <= 0) {
+      break;  // a read error (a directory, say) ends the input, as in ShardReader
+    }
+    size += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  text.resize(size);
+  return text;
+}
+
+// Re-encodes column `c`, numeric so far, as categorical: its first `rows`
+// cells are read again from the records at byte `begin`, unless all were
+// null.
+void DemoteColumn(std::string_view text, size_t begin, size_t rows, size_t c, char delimiter,
+                  ColumnBuilder* column) {
+  ColumnBuilder categorical(/*numeric=*/false);
+  SpanScanner rescan(delimiter);
+  for (size_t r = 0; r < rows; ++r) {
+    if (column->has_value()) {
+      rescan.Next(text, &begin, /*final=*/true);
+      categorical.Append(rescan.fields()[c]);
+    } else {
+      categorical.AppendNull();
+    }
+  }
+  *column = std::move(categorical);
+}
+
+// Parses every cell once: a column stays numeric while its non-empty cells
+// parse, and only a column that meets one that does not is re-encoded.
+Result<Table> ParseCsv(std::string_view text, const ReadOptions& options) {
+  RecordStream records(text, options.delimiter);
+  SCODED_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                          ReadColumnNames(records, options.has_header));
+  size_t data_begin = options.has_header ? records.offset() : 0;
+  std::vector<ColumnBuilder> columns(names.size(), ColumnBuilder(options.infer_types));
+  size_t rows = 0;
+  SCODED_RETURN_IF_ERROR(ForEachDataRecord(
+      records, names.size(), options.has_header,
+      [&](const std::vector<std::string_view>& fields) {
+        for (size_t c = 0; c < fields.size(); ++c) {
+          if (!columns[c].Append(fields[c])) {
+            DemoteColumn(text, data_begin, rows, c, options.delimiter, &columns[c]);
+            columns[c].Append(fields[c]);
+          }
+        }
+        ++rows;
+      }));
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (columns[c].numeric() && !columns[c].has_value()) {
+      // All-null columns default to categorical.
+      DemoteColumn(text, data_begin, rows, c, options.delimiter, &columns[c]);
+    }
+  }
+  return BuildTable(names, std::move(columns));
 }
 
 bool NeedsQuoting(std::string_view value, char delimiter) {
@@ -51,65 +122,14 @@ std::string QuoteField(std::string_view value) {
 }  // namespace
 
 Result<Table> ReadString(std::string_view text, const ReadOptions& options) {
-  SCODED_ASSIGN_OR_RETURN(std::vector<RawRecord> rows, ScanRecords(text, options.delimiter));
-  if (rows.empty()) {
-    return InvalidArgumentError("CSV input is empty");
-  }
-
-  std::vector<std::string> names;
-  size_t first_data_row = 0;
-  if (options.has_header) {
-    for (const RawField& name : rows[0]) {
-      names.push_back(name.text);
-    }
-    first_data_row = 1;
-  } else {
-    for (size_t i = 0; i < rows[0].size(); ++i) {
-      names.push_back("c" + std::to_string(i));
-    }
-  }
-  size_t num_cols = names.size();
-  for (size_t r = first_data_row; r < rows.size(); ++r) {
-    if (rows[r].size() != num_cols) {
-      return InvalidArgumentError("CSV row " + std::to_string(r + 1) + " has " +
-                                  std::to_string(rows[r].size()) + " fields, expected " +
-                                  std::to_string(num_cols));
-    }
-  }
-
-  std::vector<bool> numeric(num_cols, false);
-  for (size_t c = 0; c < num_cols; ++c) {
-    bool is_numeric = options.infer_types;
-    if (is_numeric) {
-      bool any_value = false;
-      for (size_t r = first_data_row; r < rows.size(); ++r) {
-        const std::string& cell = rows[r][c].text;
-        if (cell.empty()) {
-          continue;
-        }
-        any_value = true;
-        if (!ParseDouble(cell).has_value()) {
-          is_numeric = false;
-          break;
-        }
-      }
-      if (!any_value) {
-        is_numeric = false;  // all-null columns default to categorical
-      }
-    }
-    numeric[c] = is_numeric;
-  }
-  return BuildTableFromRecords(rows, first_data_row, names, numeric);
+  obs::ScopedSpan span("table/read_file");
+  return ParseCsv(text, options);
 }
 
 Result<Table> ReadFile(const std::string& path, const ReadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFoundError("cannot open CSV file '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ReadString(buffer.str(), options);
+  obs::ScopedSpan span("table/read_file");
+  SCODED_ASSIGN_OR_RETURN(std::string text, ReadWholeFile(path));
+  return ParseCsv(text, options);
 }
 
 std::string WriteString(const Table& table, char delimiter) {

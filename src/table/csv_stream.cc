@@ -1,184 +1,114 @@
 #include "table/csv_stream.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/string_util.h"
+#include "obs/trace.h"
 
 namespace scoded::csv {
 
-namespace {
-
-// First-pass state: consumes records one at a time, keeping only the
-// header names, running per-column type inference, and the record count.
-struct FirstPassState {
-  const ReadOptions* options = nullptr;
-  std::vector<std::string> names;
-  std::vector<bool> numeric;      // current inference verdict per column
-  std::vector<bool> any_value;    // column has at least one non-empty cell
-  size_t records_seen = 0;        // includes the header record
-  size_t data_rows = 0;
-
-  Status Accept(const RawRecord& record) {
-    size_t index = records_seen++;
-    if (index == 0) {
-      if (options->has_header) {
-        for (const RawField& name : record) {
-          names.push_back(name.text);
-        }
-      } else {
-        for (size_t i = 0; i < record.size(); ++i) {
-          names.push_back("c" + std::to_string(i));
-        }
-      }
-      numeric.assign(names.size(), options->infer_types);
-      any_value.assign(names.size(), false);
-      if (options->has_header) {
-        return OkStatus();
-      }
-    }
-    if (record.size() != names.size()) {
-      return InvalidArgumentError("CSV row " + std::to_string(index + 1) + " has " +
-                                  std::to_string(record.size()) + " fields, expected " +
-                                  std::to_string(names.size()));
-    }
-    ++data_rows;
-    for (size_t c = 0; c < record.size(); ++c) {
-      const std::string& cell = record[c].text;
-      if (cell.empty()) {
-        continue;
-      }
-      any_value[c] = true;
-      if (numeric[c] && !ParseDouble(cell).has_value()) {
-        numeric[c] = false;
-      }
-    }
-    return OkStatus();
-  }
-
-  void Finalize() {
-    // All-null columns default to categorical, matching csv::ReadString.
-    for (size_t c = 0; c < numeric.size(); ++c) {
-      if (!any_value[c]) {
-        numeric[c] = false;
-      }
-    }
-  }
-};
-
-}  // namespace
-
 ShardReader::ShardReader(std::string path, ShardReaderOptions options,
                          std::vector<std::string> names, std::vector<bool> numeric,
-                         size_t num_data_rows, uint64_t total_bytes)
+                         size_t num_data_rows, uint64_t total_bytes, RecordStream input)
     : path_(std::move(path)),
       options_(std::move(options)),
       names_(std::move(names)),
       numeric_(std::move(numeric)),
       num_data_rows_(num_data_rows),
       total_bytes_(total_bytes),
-      scanner_(options_.csv.delimiter) {}
+      input_(std::move(input)) {}
 
 Result<ShardReader> ShardReader::Open(const std::string& path, const ShardReaderOptions& options) {
+  obs::ScopedSpan span("table/shard_open");
   if (options.shard_rows == 0) {
     return InvalidArgumentError("shard_rows must be positive");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFoundError("cannot open CSV file '" + path + "'");
-  }
-  size_t buffer_bytes = std::max<size_t>(1, options.buffer_bytes);
-  std::vector<char> buffer(buffer_bytes);
-  RecordScanner scanner(options.csv.delimiter);
-  FirstPassState state;
-  state.options = &options.csv;
-  std::vector<RawRecord> records;
-  bool eof = false;
-  uint64_t total_bytes = 0;
-  while (!eof) {
-    in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    std::streamsize got = in.gcount();
-    if (got > 0) {
-      total_bytes += static_cast<uint64_t>(got);
-      scanner.Consume(std::string_view(buffer.data(), static_cast<size_t>(got)), &records);
+  const ReadOptions& csv = options.csv;
+  SCODED_ASSIGN_OR_RETURN(RecordStream records,
+                          RecordStream::OpenFile(path, options.buffer_bytes, csv.delimiter));
+  SCODED_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                          ReadColumnNames(records, csv.has_header));
+  // Type inference over every row, as csv::ReadFile does it, but keeping
+  // only a verdict per column.
+  std::vector<bool> numeric(names.size(), csv.infer_types);
+  std::vector<bool> any_value(names.size(), false);
+  size_t data_rows = 0;
+  SCODED_RETURN_IF_ERROR(ForEachDataRecord(
+      records, names.size(), csv.has_header, [&](const std::vector<std::string_view>& fields) {
+        ++data_rows;
+        for (size_t c = 0; c < fields.size(); ++c) {
+          if (fields[c].empty()) {
+            continue;
+          }
+          any_value[c] = true;
+          if (numeric[c] && !ParseDouble(fields[c]).has_value()) {
+            numeric[c] = false;
+          }
+        }
+      }));
+  for (size_t c = 0; c < numeric.size(); ++c) {
+    if (!any_value[c]) {
+      numeric[c] = false;  // all-null columns default to categorical
     }
-    if (in.eof() || got == 0) {
-      SCODED_RETURN_IF_ERROR(scanner.Finish(&records));
-      eof = true;
-    }
-    for (const RawRecord& record : records) {
-      SCODED_RETURN_IF_ERROR(state.Accept(record));
-    }
-    records.clear();
   }
-  if (state.records_seen == 0) {
-    return InvalidArgumentError("CSV input is empty");
-  }
-  state.Finalize();
-  ShardReader reader(path, options, std::move(state.names), std::move(state.numeric),
-                     state.data_rows, total_bytes);
-  reader.in_.open(path, std::ios::binary);
-  if (!reader.in_) {
-    return NotFoundError("cannot open CSV file '" + path + "'");
-  }
-  return reader;
+  SCODED_ASSIGN_OR_RETURN(RecordStream second,
+                          RecordStream::OpenFile(path, options.buffer_bytes, csv.delimiter));
+  return ShardReader(path, options, std::move(names), std::move(numeric), data_rows,
+                     records.bytes_read(), std::move(second));
 }
 
-Status ShardReader::FillPending() {
-  pending_.clear();
-  next_pending_ = 0;
-  size_t buffer_bytes = std::max<size_t>(1, options_.buffer_bytes);
-  std::vector<char> buffer(buffer_bytes);
-  in_.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  std::streamsize got = in_.gcount();
-  if (got > 0) {
-    bytes_read_ += static_cast<uint64_t>(got);
-    scanner_.Consume(std::string_view(buffer.data(), static_cast<size_t>(got)), &pending_);
-  }
-  if (in_.eof() || got == 0) {
-    SCODED_RETURN_IF_ERROR(scanner_.Finish(&pending_));
-    stream_done_ = true;
-  }
-  if (!header_skipped_ && options_.csv.has_header && !pending_.empty()) {
-    next_pending_ = 1;
-    header_skipped_ = true;
-  }
-  return OkStatus();
+Status ShardReader::ChangedBetweenPasses(const std::string& what) const {
+  return DataLossError("CSV file '" + path_ + "' changed between passes: " + what);
 }
 
 Result<std::optional<Table>> ShardReader::Next() {
-  std::vector<RawRecord> shard;
-  while (shard.size() < options_.shard_rows) {
-    if (next_pending_ < pending_.size()) {
-      shard.push_back(std::move(pending_[next_pending_++]));
-      continue;
+  std::vector<ColumnBuilder> columns = MakeColumnBuilders(numeric_);
+  size_t rows = 0;
+  while (rows < options_.shard_rows) {
+    SpanScanner::Step step = input_.Next();
+    if (step == SpanScanner::Step::kUnterminatedQuote) {
+      return UnterminatedQuoteError();
     }
-    if (stream_done_) {
+    if (step == SpanScanner::Step::kEnd) {
       break;
     }
-    SCODED_RETURN_IF_ERROR(FillPending());
+    if (options_.csv.has_header && !header_skipped_) {
+      header_skipped_ = true;
+      continue;
+    }
+    const std::vector<std::string_view>& fields = input_.fields();
+    if (fields.size() != names_.size()) {
+      return ChangedBetweenPasses("a record has " + std::to_string(fields.size()) +
+                                  " fields, expected " + std::to_string(names_.size()));
+    }
+    for (size_t c = 0; c < fields.size(); ++c) {
+      if (!columns[c].Append(fields[c])) {
+        columns[c].AppendNull();  // typed numeric by the first pass
+      }
+    }
+    ++rows;
   }
-  if (shard.empty()) {
+  if (rows == 0) {
     // Exhausted: the second pass must have seen exactly the file the first
     // pass typed. A concurrent truncation, append, or rewrite shows up as
     // a byte- or row-count mismatch here rather than as silently
     // mis-shaped shards.
-    if (bytes_read_ != total_bytes_ || rows_yielded_ != num_data_rows_) {
-      return DataLossError(
-          "CSV file '" + path_ + "' changed between passes: first pass saw " +
-          std::to_string(num_data_rows_) + " data rows in " + std::to_string(total_bytes_) +
-          " bytes, second pass saw " + std::to_string(rows_yielded_) + " rows in " +
-          std::to_string(bytes_read_) + " bytes");
+    if (input_.bytes_read() != total_bytes_ || rows_yielded_ != num_data_rows_) {
+      return ChangedBetweenPasses(
+          "first pass saw " + std::to_string(num_data_rows_) + " data rows in " +
+          std::to_string(total_bytes_) + " bytes, second pass saw " +
+          std::to_string(rows_yielded_) + " rows in " + std::to_string(input_.bytes_read()) +
+          " bytes");
     }
     return std::optional<Table>();
   }
-  rows_yielded_ += shard.size();
-  SCODED_ASSIGN_OR_RETURN(Table table, BuildTableFromRecords(shard, 0, names_, numeric_));
+  rows_yielded_ += rows;
+  SCODED_ASSIGN_OR_RETURN(Table table, BuildTable(names_, std::move(columns)));
   return std::optional<Table>(std::move(table));
 }
 
 Result<Table> ShardReader::EmptyTable() const {
-  return BuildTableFromRecords({}, 0, names_, numeric_);
+  return BuildTable(names_, MakeColumnBuilders(numeric_));
 }
 
 }  // namespace scoded::csv

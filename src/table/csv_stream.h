@@ -1,7 +1,6 @@
 #ifndef SCODED_TABLE_CSV_STREAM_H_
 #define SCODED_TABLE_CSV_STREAM_H_
 
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,8 +28,10 @@ struct ShardReaderOptions {
 /// record structure (field counts, quoting) and infers the column types
 /// from *all* rows — exactly the types csv::ReadFile would infer — so every
 /// shard uses the same schema regardless of which values it happens to
-/// contain. Next() then makes a second pass, yielding Tables of at most
-/// shard_rows data rows each. Categorical dictionaries are shard-local
+/// contain. That pass keeps no values and builds no dictionaries. Next()
+/// then makes a second pass, building each shard's columns, with the types
+/// fixed, straight from the records' field spans; a shard holds at most
+/// shard_rows data rows. Categorical dictionaries are shard-local
 /// (first-appearance order within the shard); callers that need global
 /// codes remap them (see PairwiseShardSummary in stats/shard_stats.h).
 ///
@@ -41,8 +42,8 @@ struct ShardReaderOptions {
 /// append surfaces as an error instead of silently mis-shaped shards
 /// (rows typed under one inference but materialised from another file).
 ///
-/// Peak memory is O(buffer_bytes + shard_rows * row width), independent of
-/// the file size.
+/// Peak memory is O(buffer_bytes + longest record + shard_rows * row width),
+/// independent of the file size.
 class ShardReader {
  public:
   /// Validates and types `path`; fails with the same errors csv::ReadFile
@@ -64,11 +65,11 @@ class ShardReader {
 
  private:
   ShardReader(std::string path, ShardReaderOptions options, std::vector<std::string> names,
-              std::vector<bool> numeric, size_t num_data_rows, uint64_t total_bytes);
+              std::vector<bool> numeric, size_t num_data_rows, uint64_t total_bytes,
+              RecordStream input);
 
-  /// Reads one chunk from the stream into pending_, running Finish() at
-  /// end of input. Sets stream_done_ when the input is exhausted.
-  Status FillPending();
+  /// The error for a second pass that does not match the first.
+  Status ChangedBetweenPasses(const std::string& what) const;
 
   std::string path_;
   ShardReaderOptions options_;
@@ -77,13 +78,8 @@ class ShardReader {
   size_t num_data_rows_ = 0;
   uint64_t total_bytes_ = 0;  // bytes the first pass consumed
 
-  std::ifstream in_;
-  RecordScanner scanner_;
-  std::vector<RawRecord> pending_;
-  size_t next_pending_ = 0;
+  RecordStream input_;        // the second pass
   bool header_skipped_ = false;
-  bool stream_done_ = false;
-  uint64_t bytes_read_ = 0;   // bytes the second pass consumed so far
   size_t rows_yielded_ = 0;   // data rows handed out by Next() so far
 };
 

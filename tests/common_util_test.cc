@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
+#include <string>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -180,6 +184,73 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("abc").has_value());
   EXPECT_FALSE(ParseDouble("1.5x").has_value());
   EXPECT_FALSE(ParseDouble("").has_value());
+}
+
+// The strtod-only ParseDouble that the from_chars fast path must agree
+// with, bit for bit.
+std::optional<double> StrtodParseDouble(std::string_view input) {
+  std::string_view trimmed = Trim(input);
+  if (trimmed.empty()) {
+    return std::nullopt;
+  }
+  std::string buffer(trimmed);
+  char* end = nullptr;
+  double value = std::strtod(buffer.c_str(), &end);
+  if (end != buffer.c_str() + buffer.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+void ExpectSameParse(const std::string& input) {
+  std::optional<double> expected = StrtodParseDouble(input);
+  std::optional<double> actual = ParseDouble(input);
+  ASSERT_EQ(actual.has_value(), expected.has_value()) << "'" << input << "'";
+  if (expected.has_value()) {
+    uint64_t expected_bits = 0;
+    uint64_t actual_bits = 0;
+    std::memcpy(&expected_bits, &*expected, sizeof(double));
+    std::memcpy(&actual_bits, &*actual, sizeof(double));
+    EXPECT_EQ(actual_bits, expected_bits) << "'" << input << "'";
+  }
+}
+
+TEST(StringUtilTest, ParseDoubleMatchesStrtodBitForBit) {
+  // A leading '+', hex, out-of-range values and NaN payloads are the cases
+  // from_chars treats differently from strtod.
+  for (const char* input :
+       {"+1", "0x1p3", "1e400", "-1e400", "1e-400", "4.9e-324", "-0", "nan", "NaN", "-nan",
+        "nan(123)", "inf", "-Infinity", " 12 ", "1.", ".5", "1e", "--1", "1,0", "", " ",
+        "0", "-0.0", "1e308", "2.2250738585072014e-308", "123456789012345678901234567890"}) {
+    ExpectSameParse(input);
+  }
+  Rng rng(20200614);
+  const std::string digits = "0123456789";
+  for (int i = 0; i < 10000; ++i) {
+    std::string text;
+    if (rng.Bernoulli(0.3)) {
+      text.push_back('-');
+    }
+    int64_t int_digits = rng.UniformInt(0, 20);
+    for (int64_t d = 0; d < int_digits; ++d) {
+      text.push_back(digits[static_cast<size_t>(rng.UniformInt(0, 9))]);
+    }
+    if (rng.Bernoulli(0.6)) {
+      text.push_back('.');
+      int64_t frac_digits = rng.UniformInt(0, 20);
+      for (int64_t d = 0; d < frac_digits; ++d) {
+        text.push_back(digits[static_cast<size_t>(rng.UniformInt(0, 9))]);
+      }
+    }
+    if (rng.Bernoulli(0.4)) {
+      text.push_back(rng.Bernoulli(0.5) ? 'e' : 'E');
+      if (rng.Bernoulli(0.5)) {
+        text.push_back(rng.Bernoulli(0.5) ? '-' : '+');
+      }
+      text += std::to_string(rng.UniformInt(0, 330));
+    }
+    ExpectSameParse(text);
+  }
 }
 
 TEST(StringUtilTest, ParseInt) {

@@ -233,6 +233,33 @@ TEST(ProfilerEndToEndTest, CliProfileAgreesWithTrace) {
   std::remove(trace_path.c_str());
 }
 
+#if !defined(SCODED_OBS_DISABLED)
+// Ingest has a span of its own, so a check's profile does not report CSV
+// parsing as cli/main self time.
+TEST(ProfilerEndToEndTest, CliProfileAttributesIngestToReadFile) {
+  std::string profile_path = ::testing::TempDir() + "/scoded_profile_ingest.json";
+  // --shard-rows 0 keeps the in-memory path under a SCODED_SHARD_ROWS run.
+  std::string command = std::string(SCODED_CLI_BIN) + " check --csv " + SCODED_FIXTURE_CSV +
+                        " --sc \"Model _||_ Color\" --alpha 0.05 --shard-rows 0 --profile " +
+                        profile_path + " > /dev/null 2>&1";
+  ASSERT_EQ(std::system(command.c_str()), 0) << "command failed: " << command;
+  Result<std::string> text = ReadTextFile(profile_path);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  Result<JsonValue> profile = ParseJson(*text);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  bool found_edge = false;
+  for (const JsonValue& edge : profile->Find("edges")->array) {
+    if (edge.Find("parent")->string_value == "cli/main" &&
+        edge.Find("child")->string_value == "table/read_file") {
+      found_edge = true;
+      EXPECT_EQ(edge.Find("count")->number, 1.0);
+    }
+  }
+  EXPECT_TRUE(found_edge) << *text;
+  std::remove(profile_path.c_str());
+}
+#endif
+
 TEST(ProfilerEndToEndTest, CliProfileCreatesMissingParentDirectories) {
   std::string dir = ::testing::TempDir() + "/scoded_prof_nested/deeper";
   std::string profile_path = dir + "/profile.json";
