@@ -10,11 +10,11 @@ namespace {
 // the caller's buffer; the GNU variant (what glibc gives C++ builds, which
 // predefine _GNU_SOURCE) returns a char* that may point at a static string
 // instead of the buffer. Overload resolution on the return type handles
-// whichever one this libc declared.
-const char* StrerrorResult(int rc, const char* buffer) {
+// whichever one this libc declared; the other overload is unused there.
+[[maybe_unused]] const char* StrerrorResult(int rc, const char* buffer) {
   return rc == 0 ? buffer : "Unknown error";
 }
-const char* StrerrorResult(const char* result, const char* /*buffer*/) {
+[[maybe_unused]] const char* StrerrorResult(const char* result, const char* /*buffer*/) {
   return result != nullptr ? result : "Unknown error";
 }
 

@@ -70,7 +70,8 @@ Attempt RetryAttempt(Status status) {
 }
 
 std::string BuildSummarizeRequest(const std::string& path, const csv::ShardReaderOptions& reader,
-                                  const std::string& specs_json, const TaskRange& range) {
+                                  const std::string& schema_json, const std::string& specs_json,
+                                  const csv::ByteWindow& window) {
   JsonWriter json;
   json.BeginObject();
   json.Key("op").String("summarize");
@@ -79,12 +80,16 @@ std::string BuildSummarizeRequest(const std::string& path, const csv::ShardReade
   json.Key("shard_rows").Uint(std::max<size_t>(1, reader.shard_rows));
   json.Key("buffer_bytes").Uint(std::max<size_t>(1, reader.buffer_bytes));
   json.Key("delimiter").String(std::string(1, reader.csv.delimiter));
-  json.Key("has_header").Bool(reader.csv.has_header);
-  json.Key("infer_types").Bool(reader.csv.infer_types);
+  json.EndObject();
+  json.Key("schema").Raw(schema_json);
+  json.Key("window").BeginObject();
+  json.Key("byte_begin").Uint(window.byte_begin);
+  json.Key("byte_end").Uint(window.byte_end);
+  json.Key("row_begin").Uint(window.row_begin);
+  json.Key("rows").Uint(window.rows);
+  json.Key("to_eof").Bool(window.to_eof);
   json.EndObject();
   json.Key("specs").Raw(specs_json);
-  json.Key("begin").Uint(range.begin);
-  json.Key("end").Uint(range.end);
   json.EndObject();
   return json.str();
 }
@@ -215,14 +220,13 @@ Result<ShardedCheckResult> DistributedCheckAll(const std::string& path,
   static obs::Counter* const workers_lost =
       obs::Metrics::Global().FindOrCreateCounter("dist.workers_lost");
 
-  // The coordinator runs its own first pass: it needs the schema to bind
-  // constraints and the row count to cut shard ranges, and its validation
-  // is the reference the workers' own passes must agree with.
+  // The coordinator runs the only first pass: it binds constraints to the
+  // schema, cuts shard ranges by the row count, and hands each worker the
+  // byte window of its range, which the worker verifies against this pass.
   SCODED_ASSIGN_OR_RETURN(csv::ShardReader reader,
                           csv::ShardReader::Open(path, options.base.reader));
   SCODED_ASSIGN_OR_RETURN(Table schema, reader.EmptyTable());
-  const size_t shard_rows = std::max<size_t>(1, options.base.reader.shard_rows);
-  const uint64_t num_shards = (reader.num_data_rows() + shard_rows - 1) / shard_rows;
+  const uint64_t num_shards = reader.num_shards();
   progress_shards_total->Set(static_cast<double>(num_shards));
   progress_rows_total->Set(static_cast<double>(reader.num_data_rows()));
   progress_shards_done->Set(0.0);
@@ -248,6 +252,23 @@ Result<ShardedCheckResult> DistributedCheckAll(const std::string& path,
   std::vector<TaskRange> tasks(num_tasks);
   for (uint64_t t = 0; t < num_tasks; ++t) {
     tasks[t] = {t * num_shards / num_tasks, (t + 1) * num_shards / num_tasks};
+  }
+  std::string schema_json;
+  {
+    JsonWriter json;
+    json.BeginObject();
+    json.Key("names").BeginArray();
+    for (const std::string& name : reader.column_names()) {
+      json.String(name);
+    }
+    json.EndArray();
+    json.Key("numeric").BeginArray();
+    for (bool numeric : reader.numeric()) {
+      json.Bool(numeric);
+    }
+    json.EndArray();
+    json.EndObject();
+    schema_json = json.str();
   }
   std::string specs_json;
   {
@@ -313,25 +334,17 @@ Result<ShardedCheckResult> DistributedCheckAll(const std::string& path,
           if (completed == num_tasks || aborted) {
             return;
           }
-          // Prefer this worker's own contiguous block of tasks: a worker
-          // that only ever advances through adjacent ranges streams the
-          // file forward once, while interleaved pulls would make every
-          // worker skip-read the gaps between its tasks. Falling back to
-          // the queue head (stealing) keeps retries and stragglers moving.
-          auto it = std::find_if(queue.begin(), queue.end(), [&](uint64_t t) {
-            return t * num_workers / num_tasks == w;
-          });
-          if (it == queue.end()) {
-            it = queue.begin();
-          }
-          task = *it;
-          queue.erase(it);
+          // Any task costs a worker only its own window, so the queue
+          // head is always the right pick.
+          task = queue.front();
+          queue.pop_front();
         }
         const TaskRange& range = tasks[task];
         assigned += range.end - range.begin;
         assigned_gauge->Set(static_cast<double>(assigned));
         std::string request =
-            BuildSummarizeRequest(path, options.base.reader, specs_json, range);
+            BuildSummarizeRequest(path, options.base.reader, schema_json, specs_json,
+                                  reader.Window(range.begin, range.end));
         Attempt attempt;
         {
           obs::ScopedSpan dispatch_span("dist/dispatch");
@@ -435,17 +448,21 @@ Result<ShardedCheckResult> DistributedCheckAll(const std::string& path,
     failed = aborted || completed != num_tasks;
   }
   if (!failed) {
-    // Dismiss the fleet politely; workers also exit on channel close, so
-    // failures here are not errors.
-    for (std::unique_ptr<WorkerChannel>& channel : channels) {
-      JsonWriter json;
-      json.BeginObject();
-      json.Key("op").String("shutdown");
-      json.EndObject();
-      if (channel->Send(json.str()).ok()) {
-        (void)channel->Receive(/*deadline_millis=*/2000);
+    // Dismiss the fleet politely, every worker before waiting on any;
+    // workers also exit on channel close, so failures here are not errors.
+    std::vector<bool> sent(channels.size());
+    for (size_t w = 0; w < channels.size(); ++w) {
+      sent[w] = channels[w]->Send("{\"op\":\"shutdown\"}").ok();
+    }
+    for (size_t w = 0; w < channels.size(); ++w) {
+      if (sent[w]) {
+        (void)channels[w]->Receive(/*deadline_millis=*/2000);
       }
     }
+  }
+  // Close every channel before reaping any, so the workers exit together.
+  for (std::unique_ptr<WorkerChannel>& channel : channels) {
+    channel->Close();
   }
   channels.clear();
   workers_live_gauge->Set(0.0);
@@ -453,7 +470,7 @@ Result<ShardedCheckResult> DistributedCheckAll(const std::string& path,
     return abort_status.ok() ? UnavailableError("distributed check aborted") : abort_status;
   }
   if (folded_rows != reader.num_data_rows()) {
-    return InternalError("folded " + std::to_string(folded_rows) + " rows but the file has " +
+    return DataLossError("folded " + std::to_string(folded_rows) + " rows but the file has " +
                          std::to_string(reader.num_data_rows()) +
                          " — changed during the run?");
   }

@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <utility>
@@ -40,6 +41,8 @@ class ConnChannel : public WorkerChannel {
       ::shutdown(conn_.fd(), SHUT_RDWR);
     }
   }
+
+  void Close() override { conn_.Close(); }
 
  protected:
   net::TcpConn conn_;
@@ -85,20 +88,29 @@ class ProcessChannel : public ConnChannel {
   int64_t pid() const override { return pid_; }
 
  private:
+  // Polls for the exit with a backoff that starts at 50 us and doubles up
+  // to 50 ms: a worker dismissed with `shutdown` exits within a
+  // millisecond or two and is reaped about as soon, while a wedged one
+  // costs few polls over the grace period.
   void Reap() {
     if (pid_ <= 0) {
       return;
     }
     conn_.Close();
-    constexpr int kGraceMillis = 5000;
-    for (int waited = 0; waited < kGraceMillis; waited += 50) {
-      int status = 0;
-      pid_t done = ::waitpid(pid_, &status, WNOHANG);
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
+    std::chrono::microseconds pause(50);
+    while (true) {
+      pid_t done = ::waitpid(pid_, nullptr, WNOHANG);
       if (done == pid_ || (done < 0 && errno == ECHILD)) {
         pid_ = -1;
         return;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      if (Clock::now() >= deadline) {
+        break;
+      }
+      std::this_thread::sleep_for(pause);
+      pause = std::min(2 * pause, std::chrono::microseconds(50000));
     }
     ::kill(pid_, SIGKILL);
     ::waitpid(pid_, nullptr, 0);

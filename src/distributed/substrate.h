@@ -38,6 +38,12 @@ class WorkerChannel {
   /// fails afterwards.
   virtual void Kill() = 0;
 
+  /// Closes the coordinator's end without waiting for the worker, which
+  /// reads end-of-input and exits; destruction then reaps it. Lets a
+  /// caller close a whole fleet before waiting on any member. The default
+  /// does nothing and leaves the close to the destructor.
+  virtual void Close() {}
+
   /// OS process id of the worker, or -1 when it is not its own process.
   virtual int64_t pid() const { return -1; }
 };

@@ -1,6 +1,5 @@
 #include "distributed/worker.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -23,9 +22,9 @@ namespace {
 struct SummarizeRequest {
   std::string path;
   csv::ShardReaderOptions reader;
+  csv::ShardSchema schema;
+  csv::ByteWindow window;
   std::vector<PairwiseShardSummary::Spec> specs;
-  uint64_t begin = 0;  // shard indices [begin, end)
-  uint64_t end = 0;
 };
 
 Result<uint64_t> MemberUint(const JsonValue& parent, const std::string& name) {
@@ -37,17 +36,23 @@ Result<uint64_t> MemberUint(const JsonValue& parent, const std::string& name) {
   return static_cast<uint64_t>(value->number);
 }
 
+Result<const JsonValue*> MemberOfKind(const JsonValue& parent, const std::string& name,
+                                      bool (JsonValue::*is_kind)() const, const char* kind) {
+  const JsonValue* value = parent.Find(name);
+  if (value == nullptr || !(value->*is_kind)()) {
+    return InvalidArgumentError(std::string("summarize request needs ") + kind + " '" + name +
+                                "'");
+  }
+  return value;
+}
+
 Result<SummarizeRequest> ParseSummarizeRequest(const JsonValue& request) {
   SummarizeRequest out;
-  const JsonValue* path = request.Find("path");
-  if (path == nullptr || !path->is_string()) {
-    return InvalidArgumentError("summarize request needs a string 'path'");
-  }
+  SCODED_ASSIGN_OR_RETURN(const JsonValue* path,
+                          MemberOfKind(request, "path", &JsonValue::is_string, "a string"));
   out.path = path->string_value;
-  const JsonValue* reader = request.Find("reader");
-  if (reader == nullptr || !reader->is_object()) {
-    return InvalidArgumentError("summarize request needs a 'reader' object");
-  }
+  SCODED_ASSIGN_OR_RETURN(const JsonValue* reader,
+                          MemberOfKind(request, "reader", &JsonValue::is_object, "an object"));
   SCODED_ASSIGN_OR_RETURN(uint64_t shard_rows, MemberUint(*reader, "shard_rows"));
   SCODED_ASSIGN_OR_RETURN(uint64_t buffer_bytes, MemberUint(*reader, "buffer_bytes"));
   out.reader.shard_rows = static_cast<size_t>(shard_rows);
@@ -57,18 +62,33 @@ Result<SummarizeRequest> ParseSummarizeRequest(const JsonValue& request) {
     return InvalidArgumentError("reader options need a one-character 'delimiter'");
   }
   out.reader.csv.delimiter = delimiter->string_value[0];
-  const JsonValue* has_header = reader->Find("has_header");
-  const JsonValue* infer_types = reader->Find("infer_types");
-  if (has_header == nullptr || !has_header->is_bool() || infer_types == nullptr ||
-      !infer_types->is_bool()) {
-    return InvalidArgumentError("reader options need boolean 'has_header' and 'infer_types'");
+  SCODED_ASSIGN_OR_RETURN(const JsonValue* schema,
+                          MemberOfKind(request, "schema", &JsonValue::is_object, "an object"));
+  SCODED_ASSIGN_OR_RETURN(const JsonValue* names,
+                          MemberOfKind(*schema, "names", &JsonValue::is_array, "an array"));
+  SCODED_ASSIGN_OR_RETURN(const JsonValue* numeric,
+                          MemberOfKind(*schema, "numeric", &JsonValue::is_array, "an array"));
+  if (names->array.size() != numeric->array.size()) {
+    return InvalidArgumentError("schema names and numeric flags differ in length");
   }
-  out.reader.csv.has_header = has_header->bool_value;
-  out.reader.csv.infer_types = infer_types->bool_value;
-  const JsonValue* specs = request.Find("specs");
-  if (specs == nullptr || !specs->is_array()) {
-    return InvalidArgumentError("summarize request needs a 'specs' array");
+  for (size_t c = 0; c < names->array.size(); ++c) {
+    if (!names->array[c].is_string() || !numeric->array[c].is_bool()) {
+      return InvalidArgumentError("schema needs string names and boolean numeric flags");
+    }
+    out.schema.names.push_back(names->array[c].string_value);
+    out.schema.numeric.push_back(numeric->array[c].bool_value);
   }
+  SCODED_ASSIGN_OR_RETURN(const JsonValue* window,
+                          MemberOfKind(request, "window", &JsonValue::is_object, "an object"));
+  SCODED_ASSIGN_OR_RETURN(out.window.byte_begin, MemberUint(*window, "byte_begin"));
+  SCODED_ASSIGN_OR_RETURN(out.window.byte_end, MemberUint(*window, "byte_end"));
+  SCODED_ASSIGN_OR_RETURN(out.window.row_begin, MemberUint(*window, "row_begin"));
+  SCODED_ASSIGN_OR_RETURN(out.window.rows, MemberUint(*window, "rows"));
+  SCODED_ASSIGN_OR_RETURN(const JsonValue* to_eof,
+                          MemberOfKind(*window, "to_eof", &JsonValue::is_bool, "a boolean"));
+  out.window.to_eof = to_eof->bool_value;
+  SCODED_ASSIGN_OR_RETURN(const JsonValue* specs,
+                          MemberOfKind(request, "specs", &JsonValue::is_array, "an array"));
   out.specs.reserve(specs->array.size());
   for (const JsonValue& spec : specs->array) {
     const JsonValue* x = spec.Find("x");
@@ -90,11 +110,6 @@ Result<SummarizeRequest> ParseSummarizeRequest(const JsonValue& request) {
     }
     out.specs.push_back(std::move(parsed));
   }
-  SCODED_ASSIGN_OR_RETURN(out.begin, MemberUint(request, "begin"));
-  SCODED_ASSIGN_OR_RETURN(out.end, MemberUint(request, "end"));
-  if (out.end < out.begin) {
-    return InvalidArgumentError("summarize range is inverted");
-  }
   return out;
 }
 
@@ -114,108 +129,61 @@ Status ValidateSpec(const PairwiseShardSummary::Spec& spec, const Table& schema)
   return OkStatus();
 }
 
-// One streaming pass reused across summarize requests. The coordinator
-// hands a worker ascending shard ranges in the common case, so advancing
-// an already open reader turns per-task cost into the range's own bytes —
-// re-opening would re-run the whole first pass and re-skip from row 0 for
-// every task. Any mismatch (different file or options, a backward range
-// after a retry) falls back to a fresh open; any reader error invalidates
-// the cache so the next request starts clean.
-struct ReaderCache {
-  std::string path;
-  csv::ShardReaderOptions options;
-  std::optional<csv::ShardReader> reader;
-  uint64_t next_shard = 0;  // first shard index Next() would yield
-  uint64_t row_offset = 0;  // global data rows consumed so far
-
-  bool CanServe(const SummarizeRequest& req) const {
-    return reader.has_value() && next_shard <= req.begin && path == req.path &&
-           options.shard_rows == req.reader.shard_rows &&
-           options.buffer_bytes == req.reader.buffer_bytes &&
-           options.csv.delimiter == req.reader.csv.delimiter &&
-           options.csv.has_header == req.reader.csv.has_header &&
-           options.csv.infer_types == req.reader.csv.infer_types;
-  }
-};
-
-Result<std::string> HandleSummarize(const JsonValue& request, ReaderCache& cache) {
+// Reads the request's byte window, and only it: the coordinator's first
+// pass located the window and fixed the schema, so the worker neither
+// re-types the file nor parses the shards before its own. The window
+// verifies its bytes and row count as it ends (csv::WindowReader).
+Result<std::string> HandleSummarize(const JsonValue& request) {
   SCODED_ASSIGN_OR_RETURN(SummarizeRequest req, ParseSummarizeRequest(request));
   obs::ScopedSpan span("dist/worker_summarize");
   if (span.active()) {
-    span.Arg("begin", static_cast<int64_t>(req.begin))
-        .Arg("end", static_cast<int64_t>(req.end))
+    span.Arg("window_bytes", static_cast<int64_t>(req.window.byte_end - req.window.byte_begin))
+        .Arg("rows", static_cast<int64_t>(req.window.rows))
         .Arg("specs", static_cast<int64_t>(req.specs.size()));
   }
-  if (!cache.CanServe(req)) {
-    cache.reader.reset();
-    SCODED_ASSIGN_OR_RETURN(csv::ShardReader opened, csv::ShardReader::Open(req.path, req.reader));
-    cache.path = req.path;
-    cache.options = req.reader;
-    cache.reader.emplace(std::move(opened));
-    cache.next_shard = 0;
-    cache.row_offset = 0;
-  }
-  csv::ShardReader& reader = *cache.reader;
-  SCODED_ASSIGN_OR_RETURN(Table schema, reader.EmptyTable());
-  size_t shard_rows = std::max<size_t>(1, req.reader.shard_rows);
-  uint64_t num_shards = (reader.num_data_rows() + shard_rows - 1) / shard_rows;
-  if (req.end > num_shards) {
-    return InvalidArgumentError("summarize range ends at shard " + std::to_string(req.end) +
-                                " but the file has " + std::to_string(num_shards) +
-                                " shards — changed since the coordinator read it?");
-  }
+  SCODED_ASSIGN_OR_RETURN(Table schema, csv::BuildTable(req.schema.names, csv::MakeColumnBuilders(
+                                                                              req.schema.numeric)));
   std::vector<PairwiseShardSummary> summaries;
   summaries.reserve(req.specs.size());
   for (const PairwiseShardSummary::Spec& spec : req.specs) {
     SCODED_RETURN_IF_ERROR(ValidateSpec(spec, schema));
     summaries.emplace_back(schema, spec);
   }
-  // Skip to the range start, tracking the true global row offset (every
-  // shard before the last is full, but counting is cheaper to trust than
-  // to assume).
-  while (cache.next_shard < req.begin) {
-    SCODED_ASSIGN_OR_RETURN(std::optional<Table> shard, reader.Next());
-    if (!shard.has_value()) {
-      return DataLossError("file ran out before shard " + std::to_string(req.begin));
-    }
-    cache.row_offset += shard->NumRows();
-    ++cache.next_shard;
-  }
+  SCODED_ASSIGN_OR_RETURN(
+      csv::WindowReader reader,
+      csv::WindowReader::Open(req.path, std::move(req.schema), req.window, req.reader));
   static obs::Counter* const worker_rows =
       obs::Metrics::Global().FindOrCreateCounter("dist.worker_rows");
   static obs::Counter* const worker_shards =
       obs::Metrics::Global().FindOrCreateCounter("dist.worker_shards");
-  uint64_t range_rows = 0;
-  for (uint64_t index = req.begin; index < req.end; ++index) {
-    SCODED_ASSIGN_OR_RETURN(std::optional<Table> shard, reader.Next());
+  uint64_t row_offset = req.window.row_begin;
+  uint64_t shards = 0;
+  for (;;) {
+    std::optional<Table> shard;
+    {
+      obs::ScopedSpan read_span("dist/window_read");
+      SCODED_ASSIGN_OR_RETURN(shard, reader.Next());
+      if (read_span.active() && shard.has_value()) {
+        read_span.Arg("rows", static_cast<int64_t>(shard->NumRows()));
+      }
+    }
     if (!shard.has_value()) {
-      return DataLossError("file ran out at shard " + std::to_string(index));
+      break;
     }
     for (PairwiseShardSummary& summary : summaries) {
-      summary.Accumulate(*shard, cache.row_offset);
+      summary.Accumulate(*shard, row_offset);
     }
-    cache.row_offset += shard->NumRows();
-    ++cache.next_shard;
-    range_rows += shard->NumRows();
+    row_offset += shard->NumRows();
+    ++shards;
     worker_rows->Add(static_cast<int64_t>(shard->NumRows()));
     worker_shards->Add();
-    obs::Heartbeat("dist.worker_shard", static_cast<int64_t>(index));
-  }
-  if (cache.next_shard == num_shards) {
-    // Range reached the end of the file: drain the reader so its
-    // second-pass byte/row accounting runs — a file rewritten mid-run
-    // surfaces as kDataLoss here instead of a silently wrong summary.
-    SCODED_ASSIGN_OR_RETURN(std::optional<Table> extra, reader.Next());
-    if (extra.has_value()) {
-      return DataLossError("file has more shards than the first pass saw");
-    }
-    cache.reader.reset();
+    obs::Heartbeat("dist.worker_shard", static_cast<int64_t>(shards));
   }
   JsonWriter json;
   json.BeginObject();
   json.Key("ok").Bool(true);
-  json.Key("shards").Uint(req.end - req.begin);
-  json.Key("rows").String(std::to_string(range_rows));
+  json.Key("shards").Uint(shards);
+  json.Key("rows").String(std::to_string(row_offset - req.window.row_begin));
   json.Key("summaries").BeginArray();
   for (const PairwiseShardSummary& summary : summaries) {
     serve::WriteShardSummaryJson(summary.ToSnapshot(), json);
@@ -238,7 +206,6 @@ std::string ErrorEnvelope(const Status& status) {
 }  // namespace
 
 Status ServeWorker(net::TcpConn& conn) {
-  ReaderCache cache;
   for (;;) {
     Result<std::string> frame = serve::ReadFrame(conn);
     if (!frame.ok()) {
@@ -265,13 +232,8 @@ Status ServeWorker(net::TcpConn& conn) {
       reply = json.str();
       shutdown = op == "shutdown";
     } else if (op == "summarize") {
-      Result<std::string> response = HandleSummarize(*request, cache);
-      if (!response.ok()) {
-        cache.reader.reset();  // a failed request leaves the pass position unknown
-        reply = ErrorEnvelope(response.status());
-      } else {
-        reply = *response;
-      }
+      Result<std::string> response = HandleSummarize(*request);
+      reply = response.ok() ? *response : ErrorEnvelope(response.status());
     } else {
       reply = ErrorEnvelope(InvalidArgumentError("unknown op '" + op + "'"));
     }

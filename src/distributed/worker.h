@@ -13,12 +13,16 @@ namespace scoded::dist {
 ///  * {"op":"ping"} → {"ok":true} — liveness probe;
 ///  * {"op":"shutdown"} → {"ok":true}, then the loop returns — the clean
 ///    way a coordinator dismisses its fleet;
-///  * {"op":"summarize", "path", "reader":{...}, "specs":[...],
-///     "begin":B, "end":E} → opens the CSV itself (its own first-pass
-///    validation and type inference), streams shards [B, E), accumulates
-///    one PairwiseShardSummary per spec, and replies
+///  * {"op":"summarize", "path", "reader":{shard_rows, buffer_bytes,
+///     delimiter}, "schema":{names, numeric}, "window":{byte_begin,
+///     byte_end, row_begin, rows, to_eof}, "specs":[...]} → reads only the
+///    window's bytes as shards under the given schema (csv::WindowReader:
+///    no first pass, no parsing of earlier shards), accumulates one
+///    PairwiseShardSummary per spec, and replies
 ///    {"ok":true, "shards":N, "rows":"R", "summaries":[...]} with each
-///    summary in the exact integer wire form of WriteShardSummaryJson.
+///    summary in the exact integer wire form of WriteShardSummaryJson. A
+///    window whose bytes or row count differ from what the coordinator's
+///    first pass saw fails with kDataLoss "changed between passes".
 ///
 /// Per-request failures reply {"ok":false, "code", "message"} and keep
 /// serving; only transport errors and shutdown end the loop. The worker

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/trace.h"
 #include "stats/colcodec.h"
 #include "stats/ranks.h"
 #include "stats/simd.h"
@@ -33,6 +34,83 @@ double DoubleOfBits(int64_t bits) {
   std::memcpy(&value, &bits, sizeof(value));
   return value;
 }
+
+uint64_t Mix(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+// The distinct cells of one shard, each with its first row and row count,
+// in first-appearance order. The index is open addressing with linear
+// probing, at most half full; a slot holds a cell number and the low 32
+// bits of its key's hash. Keys are not stored: a probe that meets an equal
+// hash asks the caller whether the row's key equals the key at the cell's
+// first row, which the caller reads back from the shard's columns.
+class CellTally {
+ public:
+  struct Cell {
+    uint32_t first_row;
+    uint32_t count;
+  };
+
+  /// Sized for `expected` cells without growing.
+  explicit CellTally(size_t expected) {
+    size_t slots = 16;
+    while (slots < 2 * expected) {
+      slots *= 2;
+    }
+    slots_.resize(slots);
+    cells_.reserve(expected);
+  }
+
+  template <typename SameKey>
+  void Add(uint64_t hash, uint32_t row, SameKey&& same_key) {
+    if (2 * (cells_.size() + 1) > slots_.size()) {
+      Grow();
+    }
+    const uint32_t tag = static_cast<uint32_t>(hash);
+    for (size_t i = tag & (slots_.size() - 1);; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& slot = slots_[i];
+      if (slot.cell == kEmpty) {
+        slot = {static_cast<uint32_t>(cells_.size()), tag};
+        cells_.push_back({row, 1});
+        return;
+      }
+      if (slot.tag == tag && same_key(cells_[slot.cell].first_row)) {
+        ++cells_[slot.cell].count;
+        return;
+      }
+    }
+  }
+
+  const std::vector<Cell>& cells() const { return cells_; }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  struct Slot {
+    uint32_t cell = kEmpty;
+    uint32_t tag = 0;
+  };
+
+  void Grow() {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.cell == kEmpty) {
+        continue;
+      }
+      size_t i = slot.tag & (slots_.size() - 1);
+      while (slots_[i].cell != kEmpty) {
+        i = (i + 1) & (slots_.size() - 1);
+      }
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<Cell> cells_;
+};
 
 }  // namespace
 
@@ -135,23 +213,58 @@ void PairwiseShardSummary::Accumulate(const Table& shard, uint64_t row_offset) {
       return;
     }
   }
+  // General path: pre-aggregate the shard's rows into its distinct cells,
+  // then fold each cell into the ordered map once, with its count and
+  // first row — what one map insert per row would have kept, at one map
+  // operation per distinct cell. A shard holds fewer than 2^32 rows.
+  obs::ScopedSpan span("stats/shard_preaggregate");
+  SCODED_CHECK(num_rows < UINT32_MAX);
+  std::vector<const int32_t*> codes(num_roles);
+  std::vector<const double*> values(num_roles);
+  for (size_t r = 0; r < num_roles; ++r) {
+    if (role_types_[r] == ColumnType::kCategorical) {
+      codes[r] = cols[r]->codes().data();
+    } else {
+      values[r] = cols[r]->numeric_values().data();
+    }
+  }
+  auto key_at = [&](size_t r, size_t row) -> int64_t {
+    if (codes[r] != nullptr) {
+      int32_t code = codes[r][row];
+      return code < 0 ? kNullCell : translate[r][static_cast<size_t>(code)];
+    }
+    return cols[r]->IsNull(row) ? kNullCell : CanonicalBits(values[r][row]);
+  };
   std::vector<int64_t> key(num_roles);
+  CellTally tally(std::min<size_t>(num_rows, 4096));
   for (size_t row = 0; row < num_rows; ++row) {
+    uint64_t hash = num_roles;
     for (size_t r = 0; r < num_roles; ++r) {
-      const Column& col = *cols[r];
-      if (col.IsNull(row)) {
-        key[r] = kNullCell;
-      } else if (role_types_[r] == ColumnType::kCategorical) {
-        key[r] = translate[r][static_cast<size_t>(col.CodeAt(row))];
-      } else {
-        key[r] = CanonicalBits(col.NumericAt(row));
+      key[r] = key_at(r, row);
+      hash = Mix(hash ^ static_cast<uint64_t>(key[r]));
+    }
+    tally.Add(hash, static_cast<uint32_t>(row), [&](uint32_t first_row) {
+      for (size_t r = 0; r < num_roles; ++r) {
+        if (key_at(r, first_row) != key[r]) {
+          return false;
+        }
       }
+      return true;
+    });
+  }
+  for (const CellTally::Cell& cell : tally.cells()) {
+    for (size_t r = 0; r < num_roles; ++r) {
+      key[r] = key_at(r, cell.first_row);
     }
     auto [it, inserted] = cells_.try_emplace(key);
     if (inserted) {
-      it->second.first_row = row_offset + row;
+      it->second.first_row = row_offset + cell.first_row;
     }
-    ++it->second.count;
+    it->second.count += cell.count;
+  }
+  if (span.active()) {
+    span.Arg("rows", static_cast<int64_t>(num_rows))
+        .Arg("cells", static_cast<int64_t>(tally.cells().size()));
   }
   rows_ += static_cast<int64_t>(num_rows);
 }

@@ -162,15 +162,21 @@ RecordStream::RecordStream(std::string_view text, char delimiter)
     : scanner_(delimiter), text_(text) {}
 
 Result<RecordStream> RecordStream::OpenFile(const std::string& path, size_t buffer_bytes,
-                                            char delimiter) {
+                                            char delimiter, uint64_t begin, uint64_t end) {
   RecordStream stream(std::string_view(), delimiter);
   stream.in_.open(path, std::ios::binary);
   if (!stream.in_) {
     return NotFoundError("cannot open CSV file '" + path + "'");
   }
+  if (begin > 0 && !stream.in_.seekg(static_cast<std::streamoff>(begin))) {
+    return DataLossError("cannot seek to byte " + std::to_string(begin) + " of CSV file '" +
+                         path + "'");
+  }
   stream.from_file_ = true;
   stream.final_ = false;
   stream.chunk_bytes_ = std::max<size_t>(1, buffer_bytes);
+  stream.origin_ = begin;
+  stream.end_ = std::max(begin, end);
   return stream;
 }
 
@@ -185,21 +191,27 @@ SpanScanner::Step RecordStream::Next() {
     if (step != SpanScanner::Step::kNeedMore) {
       return step;
     }
+    if (at_end_) {
+      return SpanScanner::Step::kEnd;  // a record cut by `end` stays unread
+    }
     Refill();
   }
 }
 
 void RecordStream::Refill() {
+  origin_ += pos_;
   buffer_.erase(0, pos_);
   pos_ = 0;
   size_t kept = buffer_.size();
-  size_t want = std::max(chunk_bytes_, kept);
+  uint64_t next = origin_ + kept;  // file offset of the next byte to read
+  size_t want = static_cast<size_t>(std::min<uint64_t>(std::max(chunk_bytes_, kept), end_ - next));
   buffer_.resize(kept + want);
   in_.read(buffer_.data() + kept, static_cast<std::streamsize>(want));
   size_t got = static_cast<size_t>(in_.gcount());
   buffer_.resize(kept + got);
-  bytes_read_ += got;
-  if (in_.eof() || got == 0) {
+  if (next + got == end_) {
+    at_end_ = true;
+  } else if (in_.eof() || got == 0) {
     final_ = true;
   }
 }

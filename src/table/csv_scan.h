@@ -70,9 +70,14 @@ class RecordStream {
   /// Streams the records of `text`, which must outlive the stream.
   RecordStream(std::string_view text, char delimiter);
 
-  /// Streams the records of the file at `path`, `buffer_bytes` at a time.
+  /// Streams the records of the file at `path`, `buffer_bytes` at a time,
+  /// from byte `begin`. Reading stops at byte `end` when one is given: the
+  /// stream then ends there without applying the end-of-input rules, so a
+  /// record cut by `end` is not returned and offset() stays at its first
+  /// byte. Without an `end` the stream runs to the end of the file.
   static Result<RecordStream> OpenFile(const std::string& path, size_t buffer_bytes,
-                                       char delimiter);
+                                       char delimiter, uint64_t begin = 0,
+                                       uint64_t end = UINT64_MAX);
 
   /// Advances to the next record: kRecord, kEnd or kUnterminatedQuote.
   SpanScanner::Step Next();
@@ -81,10 +86,9 @@ class RecordStream {
 
   /// The current record's fields, valid until the next Next().
   const std::vector<std::string_view>& fields() const { return scanner_.fields(); }
-  /// Byte offset just past the current record (in-memory streams only).
-  size_t offset() const { return pos_; }
-  /// Bytes read from the file so far.
-  uint64_t bytes_read() const { return bytes_read_; }
+  /// Byte offset (in the input or the file) just past the current record,
+  /// or of the first byte not yet consumed once the stream has ended.
+  uint64_t offset() const { return origin_ + pos_; }
 
  private:
   void Refill();
@@ -94,11 +98,13 @@ class RecordStream {
   std::ifstream in_;       // the file, when streaming one
   std::string buffer_;     // its carried record plus the latest chunk
   bool from_file_ = false;
-  bool final_ = true;  // no input follows the current buffer
+  bool final_ = true;      // no input follows the current buffer
+  bool at_end_ = false;    // the buffer reaches the `end` OpenFile was given
   bool replay_ = false;
   size_t pos_ = 0;
   size_t chunk_bytes_ = 0;
-  uint64_t bytes_read_ = 0;
+  uint64_t origin_ = 0;    // file offset of buffer_[0]
+  uint64_t end_ = UINT64_MAX;
 };
 
 /// Reads the column names: the header record's fields, or "c0", "c1", ...

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -248,6 +249,40 @@ void CheckReadString(const Generated& input, const std::string& context) {
   ExpectSameTable(*actual, *expected, context);
 }
 
+// Reads windows of `reader`'s shard index with WindowReader, from a cold
+// start and with a different read-buffer size than the first pass: every
+// single-shard window, every window that runs to the end of the file, and
+// the whole file. Each must yield exactly the matching Next() shards, then
+// verify its end.
+void CheckWindows(const ShardReader& reader, const std::string& path, ShardReaderOptions options,
+                  const std::vector<Table>& shards, const std::string& context) {
+  options.buffer_bytes = options.buffer_bytes % 5 + 1;
+  const size_t n = shards.size();
+  std::vector<std::pair<size_t, size_t>> ranges = {{0, n}};
+  for (size_t b = 0; b < n; ++b) {
+    ranges.emplace_back(b, b + 1);
+    ranges.emplace_back(b, n);
+  }
+  for (const auto& [begin, end] : ranges) {
+    std::string where = context + " window [" + std::to_string(begin) + ", " +
+                        std::to_string(end) + ")";
+    ByteWindow window = reader.Window(begin, end);
+    EXPECT_EQ(window.to_eof, end == n) << where;
+    Result<WindowReader> opened = WindowReader::Open(path, reader.schema(), window, options);
+    ASSERT_TRUE(opened.ok()) << where << ": " << opened.status().ToString();
+    for (size_t k = begin;; ++k) {
+      Result<std::optional<Table>> got = opened->Next();
+      ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+      if (!got->has_value()) {
+        EXPECT_EQ(k, end) << where;
+        break;
+      }
+      ASSERT_LT(k, end) << where;
+      ExpectSameTable(**got, shards[k], where + " shard " + std::to_string(k));
+    }
+  }
+}
+
 // Streams `input` through ShardReader and checks each shard against
 // BuildTableFromRecords over the same slice of records.
 void CheckShardReader(const Generated& input, const std::string& path, size_t shard_rows,
@@ -279,6 +314,7 @@ void CheckShardReader(const Generated& input, const std::string& path, size_t sh
   ExpectSameTable(*empty, BuildTableFromRecords({}, 0, expected->names, expected->numeric).value(),
                   context + " empty table");
   size_t next_row = expected->first_data_row;
+  std::vector<Table> shards;
   for (int shard = 0;; ++shard) {
     Result<std::optional<Table>> got = reader->Next();
     ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
@@ -291,9 +327,12 @@ void CheckShardReader(const Generated& input, const std::string& path, size_t sh
     Result<Table> want = BuildTableFromRecords(slice, 0, expected->names, expected->numeric);
     ASSERT_TRUE(want.ok()) << context;
     ExpectSameTable(**got, *want, context + " shard " + std::to_string(shard));
+    shards.push_back(std::move(**got));
     next_row = end;
   }
   EXPECT_EQ(next_row, expected->records.size()) << context;
+  ASSERT_EQ(reader->num_shards(), shards.size()) << context;
+  CheckWindows(*reader, path, options, shards, context);
 }
 
 TEST(CsvIngestOracleTest, RandomCsvMatchesOracle) {

@@ -309,5 +309,29 @@ TEST(ShardReaderChangeDetectionTest, AppendBetweenPassesIsDataLoss) {
   std::remove(path.c_str());
 }
 
+TEST(ShardReaderChangeDetectionTest, SameLengthNumericToTextRewriteIsDataLoss) {
+  // Every byte and row total still holds; only a cell that pass 1 typed
+  // numeric stops parsing as a number.
+  std::string path = ::testing::TempDir() + "/shard_reader_retyped.csv";
+  WriteRows(path, 50, "row");
+  ShardReaderOptions options;
+  options.shard_rows = 8;
+  options.buffer_bytes = 64;
+  Result<ShardReader> reader = ShardReader::Open(path, options);
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    file.seekp(static_cast<std::streamoff>(std::string("name,score\nrow0,").size()));
+    file << 'x';  // row 0's score "0" becomes "x"
+  }
+  Status status = Drain(*reader);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find("changed between passes"), std::string::npos)
+      << status.message();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace scoded::csv

@@ -13,6 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,9 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/sharded_check.h"
 #include "distributed/substrate.h"
+#include "obs/trace.h"
 #include "table/csv.h"
 
 namespace scoded {
@@ -132,6 +137,13 @@ class DistributedCheckTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/distributed_check_test.csv";
+    WriteFixture();
+    constraints_.push_back({MustParse("Model _||_ Color"), 0.05});
+    constraints_.push_back({MustParse("Model !_||_ Price"), 0.3});
+    constraints_.push_back({MustParse("Price _||_ Mileage | Model"), 0.05});
+  }
+
+  void WriteFixture() {
     Rng rng(97);
     std::ofstream out(path_);
     ASSERT_TRUE(out.good());
@@ -154,11 +166,6 @@ class DistributedCheckTest : public ::testing::Test {
       }
       out << ',' << rng.UniformInt(0, 120000) << '\n';
     }
-    out.close();
-
-    constraints_.push_back({MustParse("Model _||_ Color"), 0.05});
-    constraints_.push_back({MustParse("Model !_||_ Price"), 0.3});
-    constraints_.push_back({MustParse("Price _||_ Mileage | Model"), 0.05});
   }
 
   void TearDown() override { std::remove(path_.c_str()); }
@@ -308,6 +315,115 @@ TEST_F(DistributedCheckTest, MissingFileFailsBeforeSpawningWorkers) {
       dist::DistributedCheckAll(path_ + ".nope", constraints_, substrate, {});
   EXPECT_FALSE(result.ok());
 }
+
+// Rewrites the input file once, as the first worker is spawned: after the
+// coordinator's first pass located every window, before any is read.
+class RewriteSubstrate : public dist::Substrate {
+ public:
+  RewriteSubstrate(std::string path, std::function<void(std::string&)> edit)
+      : path_(std::move(path)), edit_(std::move(edit)) {}
+
+  Result<std::unique_ptr<dist::WorkerChannel>> Spawn(size_t worker_index) override {
+    if (worker_index == 0) {
+      std::string text;
+      {
+        std::ifstream in(path_, std::ios::binary);
+        text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+      }
+      edit_(text);
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    return inner_.Spawn(worker_index);
+  }
+
+ private:
+  std::string path_;
+  std::function<void(std::string&)> edit_;
+  dist::InProcessSubstrate inner_;
+};
+
+TEST_F(DistributedCheckTest, FileChangedAfterFirstPassIsDataLoss) {
+  const std::pair<const char*, std::function<void(std::string&)>> kEdits[] = {
+      {"truncate", [](std::string& text) { text.resize(text.size() * 3 / 5); }},
+      {"append",
+       [](std::string& text) {
+         for (int i = 0; i < 10; ++i) {
+           text += "civic,red,1200,5000\n";
+         }
+       }},
+      // Same length, inside one window: the first non-empty Price after
+      // line 500 loses its digits, so every byte and row total still holds.
+      {"numeric cell to text",
+       [](std::string& text) {
+         size_t line = 0;
+         size_t pos = 0;
+         while (true) {
+           size_t end = text.find('\n', pos);
+           size_t price = text.find(',', text.find(',', pos) + 1) + 1;
+           if (++line > 500 && text[price] != ',') {
+             for (size_t i = price; text[i] != ','; ++i) {
+               text[i] = 'x';
+             }
+             return;
+           }
+           pos = end + 1;
+         }
+       }},
+  };
+  for (const auto& [name, edit] : kEdits) {
+    WriteFixture();  // a fresh copy for each edit
+    RewriteSubstrate substrate(path_, edit);
+    dist::DistributedCheckOptions options;
+    options.base = BaseOptions();
+    options.workers = 2;
+    Result<ShardedCheckResult> result =
+        dist::DistributedCheckAll(path_, constraints_, substrate, options);
+    ASSERT_FALSE(result.ok()) << name << ": the run gave a report";
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+        << name << ": " << result.status().ToString();
+    EXPECT_NE(result.status().message().find("changed between passes"), std::string::npos)
+        << name << ": " << result.status().ToString();
+  }
+}
+
+#if !defined(SCODED_OBS_DISABLED)
+// The worker's layers show in a trace of an in-process run: the window
+// read, the per-shard pre-aggregation, and the task span with its window
+// size.
+TEST_F(DistributedCheckTest, InProcessTraceShowsWindowReadAndPreAggregation) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  dist::InProcessSubstrate substrate;
+  dist::DistributedCheckOptions options;
+  options.base = BaseOptions();
+  options.workers = 2;
+  Result<ShardedCheckResult> result =
+      dist::DistributedCheckAll(path_, constraints_, substrate, options);
+  tracer.Disable();
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  Result<JsonValue> trace = ParseJson(tracer.ToJson());
+  tracer.Clear();
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  std::map<std::string, int> spans;
+  bool window_bytes = false;
+  for (const JsonValue& event : trace->array) {
+    const std::string& name = event.Find("name")->string_value;
+    ++spans[name];
+    const JsonValue* args = event.Find("args");
+    if (name == "dist/worker_summarize" && args != nullptr && args->Find("window_bytes") &&
+        args->Find("rows")) {
+      window_bytes = true;
+    }
+  }
+  // One read per shard, plus the one per task that verifies the window end.
+  EXPECT_EQ(spans["dist/window_read"],
+            static_cast<int>(result->shards) + spans["dist/worker_summarize"]);
+  EXPECT_GT(spans["stats/shard_preaggregate"], 0);
+  EXPECT_TRUE(window_bytes);
+}
+#endif  // SCODED_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
 // Real child processes: the fork/exec substrate against the installed-style

@@ -329,6 +329,82 @@ TEST(ShardStatsTest, NonNullNaNValuesFollowTheInMemoryConventions) {
   CheckShardingInvariance(*table, 0, 1, {}, TestOptions{}, 108);
 }
 
+// The general (non-dense) accumulation path pre-aggregates each shard's
+// distinct cells; these shapes stress that table: every row its own cell
+// (so it grows many times), mostly-null rows (few cells, huge counts), and
+// the signed-zero and NaN keys whose bit patterns need care.
+TEST(ShardStatsTest, EveryRowADistinctCellMatches) {
+  Rng rng(21);
+  size_t n = 3000;
+  std::vector<std::string> x;
+  std::vector<double> y(n);
+  std::vector<std::string> z;
+  for (size_t i = 0; i < n; ++i) {
+    x.push_back("x" + std::to_string(rng.UniformInt(0, 40)));
+    y[i] = static_cast<double>(i) + 0.25;  // unique, so every (z, x, y) tuple is too
+    z.push_back(rng.UniformInt(0, 2) == 0 ? "a" : "b");
+  }
+  Result<Table> table = std::move(TableBuilder()
+                                      .AddCategorical("X", x)
+                                      .AddNumeric("Y", std::move(y))
+                                      .AddCategorical("Z", z))
+                            .Build();
+  ASSERT_TRUE(table.ok());
+  PairwiseShardSummary whole = PairwiseShardSummary::FromShard(*table, {0, 1, {2}}, 0);
+  EXPECT_EQ(whole.num_cells(), n);
+  CheckShardingInvariance(*table, 0, 1, {2}, TestOptions{}, 121);
+}
+
+TEST(ShardStatsTest, NullHeavyRowsMatch) {
+  Rng rng(22);
+  size_t n = 600;
+  std::vector<const char*> x;
+  std::vector<const char*> z;
+  std::vector<double> y(n);
+  std::vector<bool> y_valid(n);
+  const char* const kValues[] = {"p", "q", "r"};
+  for (size_t i = 0; i < n; ++i) {
+    x.push_back(rng.UniformInt(0, 9) < 7 ? nullptr : kValues[rng.UniformInt(0, 2)]);
+    z.push_back(rng.UniformInt(0, 9) < 7 ? nullptr : kValues[rng.UniformInt(0, 1)]);
+    y[i] = static_cast<double>(rng.UniformInt(0, 5));
+    y_valid[i] = rng.UniformInt(0, 9) >= 7;
+  }
+  Result<Table> table =
+      std::move(TableBuilder()
+                    .AddColumn("X", InternFirstAppearance(x))
+                    .AddNumericWithNulls("Y", std::move(y), std::move(y_valid))
+                    .AddColumn("Z", InternFirstAppearance(z)))
+          .Build();
+  ASSERT_TRUE(table.ok());
+  CheckShardingInvariance(*table, 0, 1, {2}, TestOptions{}, 122);
+  CheckShardingInvariance(*table, 0, 1, {}, TestOptions{}, 123);
+}
+
+TEST(ShardStatsTest, SignedZeroAndNaNKeysMatch) {
+  Rng rng(23);
+  double nan = std::numeric_limits<double>::quiet_NaN();
+  const double kValues[] = {0.0, -0.0, nan, -nan, 1.0, -1.0};
+  size_t n = 400;
+  std::vector<double> x(n);
+  std::vector<double> y(n);
+  std::vector<double> z(n);
+  std::vector<bool> x_valid(n);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = kValues[rng.UniformInt(0, 5)];
+    x_valid[i] = rng.UniformInt(0, 9) != 0;  // NaN stays a value where valid
+    y[i] = kValues[rng.UniformInt(0, 5)];     // no validity vector: NaN is null
+    z[i] = rng.UniformInt(0, 1) == 0 ? 0.0 : -0.0;
+  }
+  Result<Table> table = std::move(TableBuilder()
+                                      .AddNumericWithNulls("X", std::move(x), std::move(x_valid))
+                                      .AddNumeric("Y", std::move(y))
+                                      .AddNumeric("Z", std::move(z)))
+                            .Build();
+  ASSERT_TRUE(table.ok());
+  CheckShardingInvariance(*table, 0, 1, {2}, TestOptions{}, 124);
+  CheckShardingInvariance(*table, 0, 1, {}, TestOptions{}, 125);
+}
+
 TEST(ShardStatsTest, FisherRoutingMatches) {
   Rng rng(17);
   size_t n = 40;
